@@ -1,9 +1,22 @@
-// Tuned kernels: register tiling, restrict-qualified pointers, loop orders
-// chosen for contiguous vector loads — the "Goto tiles" curve. Blocks at the
-// paper's sweet-spot sizes (128..512) fit in L2, so packing is unnecessary;
-// register blocking plus vectorization-friendly inner loops captures most of
-// the single-core gap between a naive nest and a tuned BLAS.
+// Tuned kernels: the "Goto tiles" curve. The Cholesky kernels run their
+// inner loops along the output row on 4-float vectors (GCC/Clang vector
+// types, so plain SSE2 on any x86-64 and no -march):
+//   - gemm_nt and syrk share one 4x8 register-tiled micro-kernel over a
+//     k-major packed copy of the second operand, one 8-row panel at a time;
+//   - trsm and potrf are right-looking row updates, y[q] -= x * v[q],
+//     against a packed column of L; trsm applies four columns per pass.
+// A compiler vectorizes a dot product along k only under -ffast-math,
+// because that reorders the sum. Running along the row instead keeps each
+// output element's IEEE operation sequence exactly as in the plain loop
+// nests: the same products, summed in ascending k from zero and subtracted
+// once, and the same multiply by 1/L[j][j]. gemm_nt, syrk and potrf are
+// therefore bit-identical to the ref kernels; trsm multiplies by the
+// reciprocal where ref divides. Packing uses one per-thread scratch buffer,
+// grown to the largest block seen and reused after that.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "blas/kernels.hpp"
 
@@ -12,50 +25,135 @@ namespace {
 
 #define RESTRICT __restrict__
 
-// C -= A * B^T. NT form is dot products of rows of A with rows of B; tile
-// 4x2 output registers so each loaded vector of A/B is reused.
-void tuned_gemm_nt_minus(int m, const float* RESTRICT a,
-                         const float* RESTRICT b, float* RESTRICT c) {
-  int i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const float *a0 = a + (i + 0) * m, *a1 = a + (i + 1) * m,
-                *a2 = a + (i + 2) * m, *a3 = a + (i + 3) * m;
-    int j = 0;
-    for (; j + 2 <= m; j += 2) {
-      const float *b0 = b + (j + 0) * m, *b1 = b + (j + 1) * m;
-      float s00 = 0, s01 = 0, s10 = 0, s11 = 0;
-      float s20 = 0, s21 = 0, s30 = 0, s31 = 0;
-      for (int k = 0; k < m; ++k) {
-        float bk0 = b0[k], bk1 = b1[k];
-        s00 += a0[k] * bk0; s01 += a0[k] * bk1;
-        s10 += a1[k] * bk0; s11 += a1[k] * bk1;
-        s20 += a2[k] * bk0; s21 += a2[k] * bk1;
-        s30 += a3[k] * bk0; s31 += a3[k] * bk1;
-      }
-      c[(i + 0) * m + j] -= s00; c[(i + 0) * m + j + 1] -= s01;
-      c[(i + 1) * m + j] -= s10; c[(i + 1) * m + j + 1] -= s11;
-      c[(i + 2) * m + j] -= s20; c[(i + 2) * m + j + 1] -= s21;
-      c[(i + 3) * m + j] -= s30; c[(i + 3) * m + j + 1] -= s31;
-    }
-    for (; j < m; ++j) {
-      const float* bj = b + j * m;
-      float s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int k = 0; k < m; ++k) {
-        s0 += a0[k] * bj[k]; s1 += a1[k] * bj[k];
-        s2 += a2[k] * bj[k]; s3 += a3[k] * bj[k];
-      }
-      c[(i + 0) * m + j] -= s0; c[(i + 1) * m + j] -= s1;
-      c[(i + 2) * m + j] -= s2; c[(i + 3) * m + j] -= s3;
+using v4f = float __attribute__((vector_size(16)));
+constexpr int kLanes = 4;
+
+inline v4f load(const float* p) {
+  v4f v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+inline void store(float* p, v4f v) { std::memcpy(p, &v, sizeof v); }
+inline v4f splat(float s) { return v4f{s, s, s, s}; }
+
+/// The calling thread's packing buffer, at least `n` floats long.
+float* scratch(std::size_t n) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < n) buf.resize(n);
+  return buf.data();
+}
+
+// y[q] -= x * v[q] for q in [q0, q1): the row update of trsm and potrf.
+inline void row_update(float* RESTRICT y, const float* RESTRICT v, float x,
+                       int q0, int q1) {
+  const v4f xv = splat(x);
+  int q = q0;
+  for (; q + kLanes <= q1; q += kLanes)
+    store(y + q, load(y + q) - xv * load(v + q));
+  for (; q < q1; ++q) y[q] -= x * v[q];
+}
+
+// The same for four rows v, v + ldv, v + 2 ldv, v + 3 ldv and multipliers
+// x[0..4), applied in that order to each y[q] while it is in a register.
+// x may point into y's row, but not into [q0, q1).
+inline void row_update4(float* RESTRICT y, const float* RESTRICT v, int ldv,
+                        const float* RESTRICT x, int q0, int q1) {
+  const float* v0 = v;
+  const float* v1 = v0 + ldv;
+  const float* v2 = v1 + ldv;
+  const float* v3 = v2 + ldv;
+  const v4f x0 = splat(x[0]), x1 = splat(x[1]), x2 = splat(x[2]),
+            x3 = splat(x[3]);
+  int q = q0;
+  for (; q + kLanes <= q1; q += kLanes) {
+    v4f yq = load(y + q);
+    yq -= x0 * load(v0 + q);
+    yq -= x1 * load(v1 + q);
+    yq -= x2 * load(v2 + q);
+    yq -= x3 * load(v3 + q);
+    store(y + q, yq);
+  }
+  for (; q < q1; ++q) {
+    float yq = y[q];
+    yq -= x[0] * v0[q];
+    yq -= x[1] * v1[q];
+    yq -= x[2] * v2[q];
+    yq -= x[3] * v3[q];
+    y[q] = yq;
+  }
+}
+
+// --- gemm_nt / syrk micro-kernel ---------------------------------------------
+
+constexpr int kMr = 4;  // rows of C per tile
+constexpr int kNr = 8;  // columns of C per tile: two vectors
+
+/// Packs rows j0..j0+nr of `b` k-major: p[k * kNr + jj] = b[j0 + jj][k].
+/// Lanes past nr are zero, so a short panel runs the full tile.
+void pack_panel(int m, const float* RESTRICT b, int j0, int nr,
+                float* RESTRICT p) {
+  for (int jj = 0; jj < nr; ++jj) {
+    const float* bj = b + (j0 + jj) * m;
+    for (int k = 0; k < m; ++k) p[k * kNr + jj] = bj[k];
+  }
+  for (int jj = nr; jj < kNr; ++jj)
+    for (int k = 0; k < m; ++k) p[k * kNr + jj] = 0.0f;
+}
+
+/// C[i0 + r][j0 + jj] -= sum_k A[i0 + r][k] * panel[k][jj] for r < R and
+/// jj < nr, each sum accumulated from zero in ascending k. With `lower` set,
+/// only the entries on or below the diagonal (j <= i) are written.
+template <int R>
+void micro_tile(int m, const float* RESTRICT a, const float* RESTRICT p,
+                float* RESTRICT c, int i0, int j0, int nr, bool lower) {
+  v4f acc[R][2] = {};
+  const float* ar[R];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) ar[r] = a + (i0 + r) * m;
+  for (int k = 0; k < m; ++k) {
+    const v4f b0 = load(p + k * kNr), b1 = load(p + k * kNr + kLanes);
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const v4f x = splat(ar[r][k]);
+      acc[r][0] += x * b0;
+      acc[r][1] += x * b1;
     }
   }
-  for (; i < m; ++i) {
-    const float* ai = a + i * m;
-    for (int j = 0; j < m; ++j) {
-      const float* bj = b + j * m;
-      float s = 0;
-      for (int k = 0; k < m; ++k) s += ai[k] * bj[k];
-      c[i * m + j] -= s;
+  for (int r = 0; r < R; ++r) {
+    float* cr = c + (i0 + r) * m + j0;
+    const int n = lower ? std::min(nr, i0 + r - j0 + 1) : nr;
+    if (n == kNr) {
+      store(cr, load(cr) - acc[r][0]);
+      store(cr + kLanes, load(cr + kLanes) - acc[r][1]);
+    } else {
+      float s[kNr];
+      std::memcpy(s, acc[r], sizeof s);
+      for (int jj = 0; jj < n; ++jj) cr[jj] -= s[jj];
     }
+  }
+}
+
+/// Runs the micro-kernel down rows i0..m of one packed panel.
+void panel_rows(int m, const float* a, const float* p, float* c, int i0,
+                int j0, int nr, bool lower) {
+  int i = i0;
+  for (; i + kMr <= m; i += kMr) micro_tile<kMr>(m, a, p, c, i, j0, nr, lower);
+  switch (m - i) {
+    case 3: micro_tile<3>(m, a, p, c, i, j0, nr, lower); break;
+    case 2: micro_tile<2>(m, a, p, c, i, j0, nr, lower); break;
+    case 1: micro_tile<1>(m, a, p, c, i, j0, nr, lower); break;
+    default: break;
+  }
+}
+
+// C -= A * B^T.
+void tuned_gemm_nt_minus(int m, const float* RESTRICT a,
+                         const float* RESTRICT b, float* RESTRICT c) {
+  float* p = scratch(static_cast<std::size_t>(kNr) * m);
+  for (int j0 = 0; j0 < m; j0 += kNr) {
+    const int nr = std::min(kNr, m - j0);
+    pack_panel(m, b, j0, nr, p);
+    panel_rows(m, a, p, c, 0, j0, nr, false);
   }
 }
 
@@ -82,72 +180,65 @@ void tuned_gemm_nn_acc(int m, const float* RESTRICT a, const float* RESTRICT b,
   }
 }
 
+// C(lower) -= A * A^T: the gemm_nt micro-kernel with B = A. Rows above a
+// panel have no entry in it on or below the diagonal, and the tiles that
+// cross the diagonal are masked, so the strict upper triangle stays as is.
 void tuned_syrk_ln_minus(int m, const float* RESTRICT a, float* RESTRICT c) {
-  int i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const float *a0 = a + i * m, *a1 = a + (i + 1) * m;
-    for (int j = 0; j <= i + 1; ++j) {
-      const float* aj = a + j * m;
-      float s0 = 0, s1 = 0;
-      for (int k = 0; k < m; ++k) {
-        s0 += a0[k] * aj[k];
-        s1 += a1[k] * aj[k];
-      }
-      if (j <= i) c[i * m + j] -= s0;
-      c[(i + 1) * m + j] -= s1;
-    }
+  float* p = scratch(static_cast<std::size_t>(kNr) * m);
+  for (int j0 = 0; j0 < m; j0 += kNr) {
+    const int nr = std::min(kNr, m - j0);
+    pack_panel(m, a, j0, nr, p);
+    panel_rows(m, a, p, c, j0, j0, nr, true);
   }
-  for (; i < m; ++i) {
-    const float* ai = a + i * m;
-    for (int j = 0; j <= i; ++j) {
-      const float* aj = a + j * m;
-      float s = 0;
-      for (int k = 0; k < m; ++k) s += ai[k] * aj[k];
-      c[i * m + j] -= s;
+}
+
+// --- trsm / potrf: right-looking row updates ---------------------------------
+
+/// Forward substitution on `rows` rows of X, four columns of L at a time.
+/// Within a block, X[r][k] is final once scaled by 1/L[k][k] and is then
+/// subtracted, times column k of L, from the block's later entries; the
+/// block's four columns then update the rest of the row in one pass, in
+/// ascending k per element. `lt` row k holds 1/L[k][k] at k and L[q][k] at
+/// q > k. Each 4-row slab of `lt` is reused across the rows while in cache.
+void trsm_rows(int m, const float* RESTRICT lt, float* RESTRICT x, int rows) {
+  constexpr int kCols = 4;  // columns of L per row_update4 pass
+  for (int k0 = 0; k0 < m; k0 += kCols) {
+    const int k1 = std::min(k0 + kCols, m);
+    for (int r = 0; r < rows; ++r) {
+      float* xr = x + r * m;
+      for (int k = k0; k < k1; ++k) {
+        xr[k] *= lt[k * m + k];
+        row_update(xr, lt + k * m, xr[k], k + 1, k1);
+      }
+      if (k1 - k0 == kCols) row_update4(xr, lt + k0 * m, m, xr + k0, k1, m);
     }
   }
 }
 
+// X <- X * L^-T.
 void tuned_trsm_rltn(int m, const float* RESTRICT l, float* RESTRICT x) {
-  // Two rows of X per pass share each loaded row of L.
-  int i = 0;
-  for (; i + 2 <= m; i += 2) {
-    float *x0 = x + i * m, *x1 = x + (i + 1) * m;
-    for (int j = 0; j < m; ++j) {
-      const float* lj = l + j * m;
-      float s0 = x0[j], s1 = x1[j];
-      for (int k = 0; k < j; ++k) {
-        s0 -= x0[k] * lj[k];
-        s1 -= x1[k] * lj[k];
-      }
-      float inv = 1.0f / lj[j];
-      x0[j] = s0 * inv;
-      x1[j] = s1 * inv;
-    }
+  float* lt = scratch(static_cast<std::size_t>(m) * m);
+  for (int q = 0; q < m; ++q) {
+    for (int k = 0; k < q; ++k) lt[k * m + q] = l[q * m + k];
+    lt[q * m + q] = 1.0f / l[q * m + q];
   }
-  for (; i < m; ++i) {
-    float* xi = x + i * m;
-    for (int j = 0; j < m; ++j) {
-      const float* lj = l + j * m;
-      float s = xi[j];
-      for (int k = 0; k < j; ++k) s -= xi[k] * lj[k];
-      xi[j] = s / lj[j];
-    }
-  }
+  for (int i = 0; i < m; i += kMr)
+    trsm_rows(m, lt, x + i * m, std::min(kMr, m - i));
 }
 
+// In-place lower Cholesky. Step k scales column k and packs it into v; each
+// later row i then takes v[i] * v[q] off its entries q in (k, i].
 int tuned_potrf_ln(int m, float* RESTRICT a) {
+  float* v = scratch(static_cast<std::size_t>(m));
   for (int k = 0; k < m; ++k) {
     float d = a[k * m + k];
     if (!(d > 0.0f)) return k + 1;
     d = std::sqrt(d);
     a[k * m + k] = d;
-    float inv = 1.0f / d;
-    for (int i = k + 1; i < m; ++i) a[i * m + k] *= inv;
-    for (int j = k + 1; j < m; ++j) {
-      float ljk = a[j * m + k];
-      for (int i = j; i < m; ++i) a[i * m + j] -= a[i * m + k] * ljk;
-    }
+    const float inv = 1.0f / d;
+    for (int i = k + 1; i < m; ++i) v[i] = a[i * m + k] *= inv;
+    for (int i = k + 1; i < m; ++i)
+      row_update(a + i * m, v, v[i], k + 1, i + 1);
   }
   return 0;
 }

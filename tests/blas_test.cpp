@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
@@ -44,6 +45,11 @@ float max_diff(const std::vector<float>& a, const std::vector<float>& b) {
     d = std::max(d, std::fabs(a[i] - b[i]));
   return d;
 }
+
+// Block sizes: awkward odd ones, and 127..129 around the benchmarks' 128
+// tile, which reach every edge path of the tuned kernels' 4x8 tile and
+// 4-wide row updates.
+constexpr int kSizes[] = {1, 2, 3, 5, 8, 16, 17, 31, 32, 33, 64, 127, 128, 129};
 
 using KParam = std::tuple<blas::Variant, int>;  // variant, block size
 
@@ -153,20 +159,49 @@ INSTANTIATE_TEST_SUITE_P(
     VariantsAndSizes, KernelSuite,
     ::testing::Combine(::testing::Values(blas::Variant::Ref,
                                          blas::Variant::Tuned),
-                       ::testing::Values(1, 2, 3, 5, 8, 17, 32, 33, 64)),
+                       ::testing::ValuesIn(kSizes)),
     [](const auto& info) {
       return std::string(blas::to_string(std::get<0>(info.param))) + "_m" +
              std::to_string(std::get<1>(info.param));
     });
 
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// gemm_nt_minus, syrk_ln_minus and potrf_ln keep ref's per-element operation
+// order, so their outputs must match it bit for bit. trsm_rltn multiplies by
+// 1/L[j][j] where ref divides, so it only agrees within rounding.
 TEST(KernelVariants, TunedAgreesWithRef) {
-  for (int m : {16, 31, 64}) {
+  const blas::Kernels& ref = blas::ref_kernels();
+  const blas::Kernels& tuned = blas::tuned_kernels();
+  for (int m : kSizes) {
+    SCOPED_TRACE(m);
     auto a = random_block(m, 20), b = random_block(m, 21);
-    auto c1 = random_block(m, 22);
-    auto c2 = c1;
-    blas::ref_kernels().gemm_nt_minus(m, a.data(), b.data(), c1.data());
-    blas::tuned_kernels().gemm_nt_minus(m, a.data(), b.data(), c2.data());
-    EXPECT_LE(max_diff(c1, c2), 1e-3f * static_cast<float>(m));
+    const auto c = random_block(m, 22);
+    auto c1 = c, c2 = c;
+    ref.gemm_nt_minus(m, a.data(), b.data(), c1.data());
+    tuned.gemm_nt_minus(m, a.data(), b.data(), c2.data());
+    EXPECT_TRUE(bit_equal(c1, c2)) << "gemm_nt_minus";
+
+    c1 = c;
+    c2 = c;
+    ref.syrk_ln_minus(m, a.data(), c1.data());
+    tuned.syrk_ln_minus(m, a.data(), c2.data());
+    EXPECT_TRUE(bit_equal(c1, c2)) << "syrk_ln_minus";
+
+    auto l1 = spd_block(m, 23);
+    auto l2 = l1;
+    ASSERT_EQ(ref.potrf_ln(m, l1.data()), 0);
+    ASSERT_EQ(tuned.potrf_ln(m, l2.data()), 0);
+    EXPECT_TRUE(bit_equal(l1, l2)) << "potrf_ln";
+
+    auto x1 = random_block(m, 24);
+    auto x2 = x1;
+    ref.trsm_rltn(m, l1.data(), x1.data());
+    tuned.trsm_rltn(m, l1.data(), x2.data());
+    EXPECT_LE(max_diff(x1, x2), 1e-3f * static_cast<float>(m)) << "trsm_rltn";
   }
 }
 

@@ -16,11 +16,13 @@
 namespace smpss {
 namespace {
 
-// Scripted DRR: two tickets (weight 2 vs 1), one admitting thread each, and
-// the main thread releasing exactly one slot at a time — only once both
-// threads are blocked in admit(), so every grant decision is made with both
-// tenants queued. The grant sequence must then follow the 2:1 deficit
-// rotation: in every prefix, |granted_a - 2 * granted_b| <= 2.
+// Scripted DRR: two tickets (weight 2 vs 1), one client thread per
+// admission, and the main thread releasing exactly one slot at a time, only
+// once every client not yet granted is blocked in admit(). Each grant is then
+// decided with both tenants queued; a granted client never comes back, so
+// neither ticket's queue empties mid-run and its unspent deficit is never
+// skipped. The grant sequence must follow the 2:1 deficit rotation: in every
+// prefix, |granted_a - 2 * granted_b| <= 2.
 TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
   AdmissionControl adm;
   AdmissionTicket ta, tb;
@@ -30,43 +32,32 @@ TEST(AdmissionFairness, WeightedDeficitRoundRobinDeterministic) {
   std::atomic<int> tokens{0};
   std::mutex order_mu;
   std::vector<char> order;
-  auto client = [&](AdmissionTicket& t, char id, int n) {
-    for (int i = 0; i < n; ++i)
-      adm.admit(t, [&]() -> AdmitProbe {
-        // Only the ring head probes (under the admission mutex), so the
-        // token take needs no CAS. Record the grant BEFORE decrementing:
-        // the main thread keys its both-clients-queued wait off the order
-        // log once tokens reads zero.
-        if (tokens.load() == 0) return AdmitProbe::GlobalFull;
-        {
-          std::lock_guard<std::mutex> lk(order_mu);
-          order.push_back(id);
-        }
-        tokens.fetch_sub(1);
-        return AdmitProbe::Taken;
-      });
+  auto client = [&](AdmissionTicket& t, char id) {
+    adm.admit(t, [&]() -> AdmitProbe {
+      // Only the ring head probes (under the admission mutex), so the
+      // token take needs no CAS. Record the grant before decrementing:
+      // the main thread releases the next slot once tokens reads zero.
+      if (tokens.load() == 0) return AdmitProbe::GlobalFull;
+      {
+        std::lock_guard<std::mutex> lk(order_mu);
+        order.push_back(id);
+      }
+      tokens.fetch_sub(1);
+      return AdmitProbe::Taken;
+    });
   };
-  std::thread a(client, std::ref(ta), 'a', kA);
-  std::thread b(client, std::ref(tb), 'b', kB);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kA; ++i) clients.emplace_back(client, std::ref(ta), 'a');
+  for (int i = 0; i < kB; ++i) clients.emplace_back(client, std::ref(tb), 'b');
   for (int granted = 0; granted < kA + kB; ++granted) {
-    // Wait until every still-running client is blocked in admit() before
-    // releasing the next slot, so the head choice is never a timing race.
-    std::uint32_t expect_waiters = 0;
-    {
-      std::lock_guard<std::mutex> lk(order_mu);
-      int na = 0, nb = 0;
-      for (char c : order) (c == 'a' ? na : nb)++;
-      expect_waiters = (na < kA ? 1u : 0u) + (nb < kB ? 1u : 0u);
-    }
-    while (adm.waiters() < expect_waiters)
+    while (adm.waiters() < static_cast<std::uint32_t>(kA + kB - granted))
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     tokens.fetch_add(1);
     adm.notify();
     while (tokens.load() != 0)
       std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  a.join();
-  b.join();
+  for (auto& c : clients) c.join();
   ASSERT_EQ(order.size(), static_cast<std::size_t>(kA + kB));
   int na = 0, nb = 0;
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -130,7 +121,17 @@ TEST(AdmissionFairness, TrickleStreamNotStarvedByGreedy) {
   long g_cell = 0, t_cell = 0;
   std::thread g([&] {
     while (!stop.load(std::memory_order_relaxed))
-      greedy.post([](long* c) { *c += 1; }, inout(&g_cell));
+      greedy.post(
+          [](long* c) {
+            // 20 us of work per task, so the workers retire slower than
+            // this thread posts and the 32-task window really fills.
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+            *c += 1;
+          },
+          inout(&g_cell));
     greedy.drain();
   });
   constexpr int kTrickle = 100;
