@@ -9,7 +9,7 @@
 // paper stresses (Strassen: deep arithmetic recursion with temporaries;
 // multisort: region-analyzed sort/merge tree) — nested wins when the tree
 // is deep enough that serial generation is the bottleneck, and pays the
-// shard-locked submission pipeline plus taskwait joins when it is not.
+// concurrent submission path plus taskwait joins when it is not.
 #include <benchmark/benchmark.h>
 
 #include <vector>

@@ -10,8 +10,8 @@
 //     shows up in the retire-latency tail instead of vanishing into a
 //     slower client. p99_ns bounded is the service-mode headline claim.
 //   * ClosedLoop — clients submit as fast as admission lets them; measures
-//     the saturated multiplexing throughput of the admission ring + sharded
-//     analyzers.
+//     the saturated multiplexing throughput of the admission ring + the
+//     concurrent analyzers.
 //
 // Counters: tasks_per_s (end-to-end rate), p50_ns / p99_ns (submit-to-retire
 // latency over every stream's histogram, merged by Runtime::stats()). The CI

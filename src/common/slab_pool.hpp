@@ -159,6 +159,12 @@ class SlabPool {
     Header* h = sl.local;
     if (h != nullptr) {
       sl.local = h->next.load(std::memory_order_relaxed);
+      // The next block was most likely freed by a retiring worker, so its
+      // first line (the header, and a version's reference cell) sits in
+      // that worker's cache. Fetch it for writing now: the dependency
+      // analyzer constructs each new version before publishing it, and that
+      // miss would otherwise stall the publication CAS.
+      if (sl.local != nullptr) __builtin_prefetch(sl.local, /*rw=*/1);
       ++sl.hits;
       return h;
     }

@@ -71,7 +71,7 @@ struct AccessGroup {
   /// group version's producer reference, which outlives every member.
   TaskNode* close = nullptr;
 
-  /// Published-before-initialized guard (lock-free path): the group version
+  /// Published-before-initialized guard: the group version
   /// is CAS-published before `prev`/the init copy are recorded, so joiners
   /// and closers spin on this flag first.
   std::atomic<bool> ready{false};

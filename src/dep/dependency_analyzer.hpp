@@ -9,11 +9,10 @@
 // disabled (an ablation the paper argues against) anti- and output-
 // dependency edges are inserted instead.
 //
-// Concurrency: the per-datum tables are hash-sharded. In the lock-free
-// configuration (SMPSS_DEP_LOCKFREE, the default with renaming + nested
-// submitters) submission takes no mutex at all:
+// Concurrency: one publication path in every configuration. Submission
+// takes no mutex:
 //
-//   * the entry table is a per-shard array of CAS-prepend bucket chains
+//   * the entry table is a fixed array of CAS-prepend bucket chains
 //     (entries are address-stable and only reclaimed at flush, which
 //     requires quiescence);
 //   * a reader pins the chain head speculatively — register first, then
@@ -29,13 +28,12 @@
 //   Version reclamation rides on the slab pool's type-stable blocks and
 //   generation counters: see the scheme comment atop dep/version.hpp.
 //
-// In the locked fallback (SMPSS_DEP_LOCKFREE=0, or whenever renaming is
-// off) each shard has a mutex which the Runtime acquires for every shard a
-// task touches up front, in index order (two-phase locking, see
-// Runtime::analyze_accesses). The same version-publication code runs under
-// the locks — uncontended, the CASes always succeed first try. In the
-// paper-faithful single-submitter configuration the Runtime skips the locks
-// entirely and calls straight in.
+// A single submitter (the paper-faithful default) pays one uncontended CAS
+// per write; no other thread moves a chain head, so it never retries. The
+// no-renaming ablation runs the same chain but also records reader tasks
+// for its WAR edges in plain per-version vectors, so concurrent submitters
+// serialize it (Runtime::analyze_accesses holds the region rwlock
+// exclusively for it).
 //
 // Counters are striped by submitting thread (no shared hot line) and summed
 // on snapshot.
@@ -100,20 +98,14 @@ class DependencyAnalyzer {
 
   /// `owner_slots`/`cache_blocks` size the type-stable version pool (same
   /// slot scheme as the TaskArena: one slot per submitting thread).
-  /// `lockfree` selects CAS publication without shard mutexes; requires
-  /// renaming (the no-renaming ablation records reader task lists, which
-  /// need the submission lock).
   DependencyAnalyzer(RenamePool& pool, bool renaming_enabled,
-                     unsigned shard_count, GraphRecorder* recorder,
-                     unsigned owner_slots, unsigned cache_blocks,
-                     bool lockfree);
+                     GraphRecorder* recorder, unsigned owner_slots,
+                     unsigned cache_blocks);
 
   DependencyAnalyzer(const DependencyAnalyzer&) = delete;
   DependencyAnalyzer& operator=(const DependencyAnalyzer&) = delete;
 
   ~DependencyAnalyzer();
-
-  bool lockfree() const noexcept { return lockfree_; }
 
   /// When set (the aware scheduling policy wants its submit hook fed), an
   /// in-place-reused inout registers its RAW-predecessor version as a read,
@@ -154,25 +146,9 @@ class DependencyAnalyzer {
     return pending_closes_.exchange(nullptr, std::memory_order_acq_rel);
   }
 
-  // --- sharding (two-phase acquisition is the Runtime's job; locked mode) ---
-
-  unsigned shard_count() const noexcept { return shard_mask_ + 1; }
-
-  /// Shard index owning `addr`. Stable for the analyzer's lifetime.
-  unsigned shard_of(const void* addr) const noexcept {
-    return static_cast<unsigned>(hash_of(addr) >> 32) & shard_mask_;
-  }
-
-  /// The mutex guarding shard `s`. Lock shards in increasing index order.
-  /// Unused (never taken) in the lock-free configuration.
-  std::mutex& shard_mutex(unsigned s) const noexcept {
-    return shards_[s].mu;
-  }
-
   // --- analysis -------------------------------------------------------------
-  // Lock-free mode: callable concurrently from any submitter, no locks held.
-  // Locked mode: callers hold the owning shard's mutex (or are the sole
-  // submitter).
+  // Callable concurrently from any submitter, no locks held — except with
+  // renaming disabled, where the caller serializes submissions.
 
   /// Analyze one directional parameter of `task`: wire dependency edges,
   /// create/supersede versions, decide renaming. Returns the storage the
@@ -184,20 +160,15 @@ class DependencyAnalyzer {
   void flush_all();
 
   /// Lookup for wait_on(); nullptr when the address was never tracked.
-  /// Lock-free (prepend-only chains), safe in both modes.
+  /// Lock-free (prepend-only chains).
   DataEntry* find(const void* addr);
 
-  /// Copy the latest version's bytes back into user storage (no state
-  /// change; chain stays intact so later tasks keep their versions).
-  /// Requires the latest version to be produced and user storage quiescent.
-  /// Locked-mode wait_on path: the caller holds the shard mutex.
-  void copy_back_latest(DataEntry& entry);
-
-  /// Lock-free wait_on step: pin the latest version (forcing concurrent
-  /// writers to rename, so the copy source stays stable), and copy it back
-  /// if it is produced and user storage is quiescent.
+  /// wait_on step: pin the latest version (forcing concurrent writers to
+  /// rename, so the copy source stays stable), and copy it back into user
+  /// storage if it is produced and user storage is quiescent. The chain
+  /// stays intact, so later tasks keep their versions.
   enum class CopyBack { kUntracked, kNotReady, kDone };
-  CopyBack try_copy_back_lockfree(const void* addr);
+  CopyBack try_copy_back(const void* addr);
 
   /// True if this address is currently tracked (used to diagnose mixing of
   /// address-mode and region-mode access on one array).
@@ -205,7 +176,7 @@ class DependencyAnalyzer {
 
   // --- introspection --------------------------------------------------------
 
-  /// Sum the per-thread counter stripes. Safe concurrently in both modes.
+  /// Sum the per-thread counter stripes. Safe against racing submitters.
   Counters counters_snapshot() const;
 
   std::size_t live_entries() const noexcept;
@@ -231,30 +202,16 @@ class DependencyAnalyzer {
   };
   static constexpr unsigned kStripes = 16;  // power of two
 
-  static constexpr unsigned kBucketsPerShard = 64;  // power of two
+  /// Entry-table size: a fixed array of CAS-prepend entry chains.
+  static constexpr unsigned kBucketBits = 12;
+  static constexpr unsigned kBuckets = 1u << kBucketBits;
 
-  /// One stripe of the datum table: a small bucket array of CAS-prepend
-  /// entry chains, plus the mutex the locked configuration's two-phase
-  /// acquisition uses. Padded so submitters on different shards never share
-  /// a cache line.
-  struct alignas(kCacheLineSize) Shard {
-    mutable std::mutex mu;
-    std::atomic<DataEntry*> buckets[kBucketsPerShard] = {};
-  };
-
-  static std::uint64_t hash_of(const void* addr) noexcept {
+  std::atomic<DataEntry*>& bucket_for(const void* addr) noexcept {
     // Fibonacci hash over the address with the low alignment bits dropped;
-    // neighbouring allocations land on different shards. Shard and bucket
-    // indices take disjoint bit ranges of the same product.
-    auto p = reinterpret_cast<std::uintptr_t>(addr) >> 4;
-    return static_cast<std::uint64_t>(p) * 0x9E3779B97F4A7C15ull;
-  }
-  static unsigned bucket_of_hash(std::uint64_t h) noexcept {
-    return static_cast<unsigned>(h >> 20) & (kBucketsPerShard - 1);
-  }
-
-  Shard& shard_for(const void* addr) noexcept {
-    return shards_[shard_of(addr)];
+    // the top bits of the product index the table, so neighbouring
+    // allocations land in different buckets.
+    const std::uint64_t p = reinterpret_cast<std::uintptr_t>(addr) >> 4;
+    return buckets_[(p * 0x9E3779B97F4A7C15ull) >> (64 - kBucketBits)];
   }
   CounterStripe& stripe_for(std::uint32_t slot) noexcept {
     return stripes_[slot & (kStripes - 1)];
@@ -276,15 +233,12 @@ class DependencyAnalyzer {
   /// first, then validate `latest` is unchanged; on a lost race the
   /// registration is aborted (net-zero even on a recycled block) and the
   /// pin retries against the new head.
-  Version* pin_latest(CounterStripe& st, TaskNode* task, DataEntry& e);
+  Version* pin_latest(CounterStripe& st, DataEntry& e);
   void* process_read(CounterStripe& st, TaskNode* task, DataEntry& e,
                      std::size_t bytes);
   void* process_write(CounterStripe& st, unsigned slot, TaskNode* task,
                       DataEntry& e, std::size_t bytes, bool also_reads,
                       AccessGroup* group = nullptr);
-  void* process_write_lockfree(CounterStripe& st, unsigned slot,
-                               TaskNode* task, DataEntry& e, std::size_t bytes,
-                               bool also_reads, AccessGroup* group = nullptr);
   /// Commutative/concurrent access: join the open group at the chain head if
   /// it matches, otherwise open a fresh group (sealing whatever was there).
   void* process_commuting(CounterStripe& st, unsigned slot, TaskNode* task,
@@ -299,12 +253,10 @@ class DependencyAnalyzer {
 
   RenamePool& pool_;
   bool renaming_;
-  bool lockfree_;
   bool track_raw_preds_ = false;
   GraphRecorder* recorder_;
-  unsigned shard_mask_;  // shard count is a power of two
   unsigned workers_;     ///< sizes per-worker reduction privates (owner_slots)
-  std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<std::atomic<DataEntry*>[]> buckets_;
   std::unique_ptr<CounterStripe[]> stripes_;
   SlabPool vpool_;  ///< type-stable Version blocks (see dep/version.hpp)
 

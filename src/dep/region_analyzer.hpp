@@ -13,10 +13,10 @@
 //
 // Threading: main thread only in the paper-faithful configuration. With
 // concurrent submitters (nested mode) the Runtime guards this class with a
-// dedicated reader-writer lock ordered after the dependency shard mutexes:
-// region-qualified submissions hold it exclusively, address-mode
-// submissions hold it shared just long enough for the mixed-mode diagnosis
-// (tracks()), and stats() reads the counters under the shared side.
+// dedicated reader-writer lock: region-qualified submissions hold it
+// exclusively, address-mode submissions hold it shared just long enough for
+// the mixed-mode diagnosis (tracks()), and stats() reads the counters under
+// the shared side.
 #pragma once
 
 #include <atomic>

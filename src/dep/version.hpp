@@ -14,7 +14,7 @@
 // is returned to the rename pool. This gives the eager reclamation the paper
 // relies on to keep renamed-memory bounded.
 //
-// Lock-free chain support (SMPSS_DEP_LOCKFREE): versions are allocated from
+// Lock-free chain support: versions are allocated from
 // a type-stable SlabPool and their two synchronization counters (refs,
 // pending readers) live in a per-block prefix cell that SURVIVES tenancies —
 // the pool recycles the block but never reinitializes the counters. A reader
@@ -35,14 +35,15 @@
 // are seq_cst: paired with the seq_cst CAS that publishes a new latest
 // version, this is the Dekker-style guarantee that a writer which swung the
 // chain head sees every reader that validated against the old head — a
-// just-registered reader can never be missed (the in-place-reuse hazard the
-// ISSUE's ordering bugfix covers).
+// just-registered reader can never be missed (a missed one would let the
+// writer reuse the storage in place under a live reader).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "common/cache.hpp"
 #include "common/check.hpp"
 #include "common/slab_pool.hpp"
 #include "common/small_vector.hpp"
@@ -152,22 +153,22 @@ class Version {
 
   // --- reader registration --------------------------------------------------
 
-  /// Register `reader` as a pending reader: bumps the pending count and
-  /// takes a lifetime ref on this version. The pending-count increment is
-  /// seq_cst — the write half of the Dekker pairing with the retiring
-  /// writer's readers_pending() probe (a relaxed increment here could let an
-  /// in-place-reusing writer miss a just-registered reader). `record_task`
-  /// additionally takes a strong ref on the reader task and records it for
-  /// WAR edges — needed only with renaming disabled, where the recording is
-  /// serialized by the submission lock (the lock-free chain requires
-  /// renaming and never touches the vector).
-  void register_reader(TaskNode* reader, bool record_task) {
+  /// Register a pending reader: bumps the pending count and takes a
+  /// lifetime ref on this version. The pending-count increment is seq_cst —
+  /// the write half of the Dekker pairing with the retiring writer's
+  /// readers_pending() probe (a relaxed increment here could let an
+  /// in-place-reusing writer miss a just-registered reader).
+  void register_reader() {
     rc().refs.fetch_add(1, std::memory_order_relaxed);
     rc().readers_pending.fetch_add(1, std::memory_order_seq_cst);
-    if (record_task) {
-      reader->add_ref();
-      reader_tasks_.push_back(reader);
-    }
+  }
+
+  /// Record a validated reader task for WAR edges (strong ref) — needed only
+  /// with renaming disabled, whose submissions are serialized; the renaming
+  /// configuration never touches the vector.
+  void record_reader(TaskNode* reader) {
+    reader->add_ref();
+    reader_tasks_.push_back(reader);
   }
 
   /// Undo a speculative registration that failed chain-head validation (the
@@ -187,7 +188,7 @@ class Version {
   }
 
   /// Submission-order view of recorded reader tasks (WAR edges in the
-  /// no-renaming configuration; submission-lock serialized).
+  /// no-renaming configuration, whose submissions are serialized).
   const SmallVector<TaskNode*, 4>& reader_tasks() const noexcept {
     return reader_tasks_;
   }
@@ -242,29 +243,37 @@ constexpr std::size_t Version::block_bytes() noexcept {
 }
 
 /// Per-datum bookkeeping (address-mode analysis). Entries live in the
-/// analyzer's lock-free chained hash table (per-shard bucket arrays with
+/// analyzer's lock-free chained hash table (one bucket array with
 /// CAS-insert; see DependencyAnalyzer) and are address-stable for the phase:
 /// versions point back at their entry, and entries are only freed at
 /// flush_all(), which requires quiescence.
+///
+/// Layout: the fields above the padding are the submitter's (bucket walk,
+/// chain-head CAS, extent); user_storage_pending is decremented by the
+/// retiring worker once per task. A full cache line between them keeps the
+/// two apart at any allocation alignment, so a submitter's CAS never has to
+/// pull its line back from a worker retiring an earlier task on the same
+/// datum (a one-datum inout chain pays that transfer on every spawn).
 struct DataEntry {
   void* user_ptr = nullptr;  ///< the address the program passes to tasks
+  /// Hash-chain link (prepend-only until flush).
+  std::atomic<DataEntry*> next{nullptr};
   /// Largest extent ever *written* at this address. Invariant: the latest
   /// version always covers all of it (smaller writes inherit the
   /// predecessor's tail), so copying back `latest` alone restores the
   /// datum — see DependencyAnalyzer::process_write. Maintained with
   /// fetch-max under concurrent writers.
   std::atomic<std::size_t> bytes{0};
-  /// The chain head (owns the latest-token). Swung by CAS on the lock-free
-  /// path; plain release stores under the shard mutex otherwise.
+  /// The chain head (owns the latest-token). Swung by CAS in every
+  /// configuration; a single submitter's CAS never retries.
   std::atomic<Version*> latest{nullptr};
+
+  char pad_[kCacheLineSize];
 
   /// Count of unfinished accesses whose storage is the *user* buffer.
   /// wait_on() needs user storage quiescent before copying a renamed latest
   /// version back into it.
   std::atomic<int> user_storage_pending{0};
-
-  /// Hash-chain link (prepend-only until flush).
-  std::atomic<DataEntry*> next{nullptr};
 };
 
 }  // namespace smpss

@@ -2,9 +2,9 @@
 // edges by kind) for post-mortem inspection: DOT export (paper Fig. 5),
 // structural statistics, and the paper-exact count assertions in the tests.
 //
-// With the sharded submission pipeline, nodes and edges may be recorded by
-// several submitters at once (different tasks hold different shard locks),
-// so the record calls serialize on an internal mutex — taken only when
+// With concurrent submitters (nested mode), nodes and edges may be recorded
+// by several submitters at once, so the record calls serialize on an
+// internal mutex — taken only when
 // recording is enabled, which keeps the default configuration free of it.
 // The read accessors are for quiescent post-barrier inspection.
 #pragma once

@@ -8,9 +8,6 @@
 //   SMPSS_RENAME_MEMORY_MB  renamed-storage blocking condition
 //   SMPSS_RENAMING          0/1 — disable/enable renaming
 //   SMPSS_NESTED            0/1 — real nested tasks instead of inlining
-//   SMPSS_DEP_SHARDS        dependency-table shards (1 = global lock)
-//   SMPSS_DEP_LOCKFREE      0/1 — CAS version-chain publication (no shard
-//                           mutexes on submit; needs renaming + nested)
 //   SMPSS_CHAIN_DEPTH       max chained executions per acquire (0 = off)
 //   SMPSS_POOL_CACHE        task-pool blocks cached per worker (0 = malloc)
 //   SMPSS_SCHEDULER         distributed | centralized
@@ -59,30 +56,12 @@ struct Config {
 
   /// Nested task parallelism. Off (the paper-faithful default, Sec. VII.D)
   /// demotes a spawn from inside a task to a plain inline function call. On,
-  /// any thread may submit real tasks: dependency analysis runs through the
-  /// address-striped shard pipeline (per-datum serialization, as in the
-  /// later BSC runtimes that lifted this restriction), tasks track their
-  /// parent, and Runtime::taskwait() waits for the calling task's children
-  /// while executing other ready tasks.
+  /// any thread may submit real tasks: the per-datum version chains are
+  /// published by CAS (per-datum serialization, as in the later BSC
+  /// runtimes that lifted this restriction; see dep/dependency_analyzer.hpp),
+  /// tasks track their parent, and Runtime::taskwait() waits for the calling
+  /// task's children while executing other ready tasks.
   bool nested_tasks = false;
-
-  /// Shard count of the address-striped dependency pipeline: the per-datum
-  /// tracking tables are split into this many hash-sharded maps, each with
-  /// its own mutex, and a submission locks only the shards its parameters
-  /// hash to (in index order — two-phase acquisition). Only exercised with
-  /// nested_tasks (the single-submitter path takes no locks at all).
-  /// 0 = auto (64); values round up to a power of two; 1 reproduces the
-  /// global-submission-lock behavior (the bench baseline).
-  unsigned dep_shards = 0;
-
-  /// Lock-free dependency pipeline: publish version-chain heads by CAS and
-  /// take no shard mutex on the in/out/inout submission path (see
-  /// dep/dependency_analyzer.hpp). Only meaningful with nested_tasks
-  /// (single-submitter runs take no locks either way) and requires renaming
-  /// (the no-renaming ablation's reader lists need the submission lock);
-  /// normalize() clears it when either precondition is missing. The shards
-  /// stay as the hash layout of the entry table in both modes.
-  bool dep_lockfree = true;
 
   /// Immediate-successor chaining bound: when completing a task releases
   /// exactly one successor (and no high-priority task is pending), the

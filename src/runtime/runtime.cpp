@@ -26,9 +26,8 @@ Runtime::Runtime(Config cfg)
                                                cfg_.pool_cache)
                  : nullptr),
       pool_(cfg_.rename_memory_limit),
-      dep_(pool_, cfg_.renaming, cfg_.dep_shards, &recorder_,
-           cfg_.num_threads, cfg_.pool_cache > 0 ? cfg_.pool_cache : 64,
-           cfg_.dep_lockfree),
+      dep_(pool_, cfg_.renaming, &recorder_, cfg_.num_threads,
+           cfg_.pool_cache > 0 ? cfg_.pool_cache : 64),
       regions_(&recorder_),
       policy_(make_policy<TaskNode>(cfg_.policy_tuning())) {
   recorder_.set_enabled(cfg_.record_graph);
@@ -197,59 +196,20 @@ void Runtime::begin_submission(TaskNode* t) {
 
 void Runtime::analyze_accesses(TaskNode* t, const AccessDesc* descs,
                                std::size_t n) {
-  if (dep_.lockfree()) {
-    // Lock-free pipeline: no shard mutexes at all — per-datum consistency
-    // comes from CAS publication on each chain head (see
-    // dep/dependency_analyzer.hpp). Only the region table keeps its rwlock;
-    // address-only submissions skip even the shared side while the region
-    // table has never been touched.
-    bool any_region = false;
-    for (std::size_t i = 0; i < n; ++i) any_region |= descs[i].has_region;
-    const bool check_regions = any_region || regions_.maybe_tracking();
-    if (n != 0 && check_regions) {
-      if (any_region)
-        region_mu_.lock();
-      else
-        region_mu_.lock_shared();
-    }
-    for (std::size_t i = 0; i < n; ++i)
-      t->resolved.push_back(route_access(t, descs[i], check_regions));
-    if (n != 0 && check_regions) {
-      if (any_region)
-        region_mu_.unlock();
-      else
-        region_mu_.unlock_shared();
-    }
-    return;
-  }
-  // Two-phase shard acquisition (SMPSS_DEP_LOCKFREE=0 fallback, and the
-  // no-renaming ablation). Every shard this task's footprint hashes
-  // to is locked up front, in increasing index order (deadlock-free), and
-  // held until the whole analysis is done. That makes each submission
-  // atomic with respect to any other submission sharing a shard: two
-  // conflicting submissions are totally ordered in real time, so per-datum
-  // version chains stay mutually consistent and edges always point from an
-  // earlier critical section into a later one — no cycles. Region-qualified
-  // accesses contribute the shard of their base address too (the mixed-mode
-  // diagnosis reads it).
-  SmallVector<unsigned, 8> shard_ids;
-  bool any_region = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    shard_ids.push_back(dep_.shard_of(descs[i].addr));
-    any_region |= descs[i].has_region;
-  }
-  std::sort(shard_ids.begin(), shard_ids.end());
-  unsigned* shards_end = std::unique(shard_ids.begin(), shard_ids.end());
-  for (unsigned* it = shard_ids.begin(); it != shards_end; ++it)
-    dep_.shard_mutex(*it).lock();
-  // The region table is ordered after every shard mutex. Region-mode
-  // submissions hold it exclusively; address-mode submissions only need it
-  // shared (for the mixed-mode diagnosis) — and skip even that while the
+  // No dependency mutex: per-datum consistency comes from CAS publication on
+  // each chain head (see dep/dependency_analyzer.hpp). Only the region table
+  // keeps its rwlock. Region-mode submissions hold it exclusively, and so
+  // does the no-renaming ablation, whose per-version reader lists need
+  // serialized submissions. Address-mode submissions otherwise take the
+  // shared side for the mixed-mode diagnosis — and skip even that while the
   // region table has never been touched, so the common address-only case
   // pays no shared-cache-line RMW here at all.
-  const bool check_regions = any_region || regions_.maybe_tracking();
+  bool any_region = false;
+  for (std::size_t i = 0; i < n; ++i) any_region |= descs[i].has_region;
+  const bool exclusive = any_region || !cfg_.renaming;
+  const bool check_regions = exclusive || regions_.maybe_tracking();
   if (n != 0 && check_regions) {
-    if (any_region)
+    if (exclusive)
       region_mu_.lock();
     else
       region_mu_.lock_shared();
@@ -257,13 +217,11 @@ void Runtime::analyze_accesses(TaskNode* t, const AccessDesc* descs,
   for (std::size_t i = 0; i < n; ++i)
     t->resolved.push_back(route_access(t, descs[i], check_regions));
   if (n != 0 && check_regions) {
-    if (any_region)
+    if (exclusive)
       region_mu_.unlock();
     else
       region_mu_.unlock_shared();
   }
-  for (unsigned* it = shard_ids.begin(); it != shards_end; ++it)
-    dep_.shard_mutex(*it).unlock();
 }
 
 unsigned Runtime::submitter_tid() const noexcept {
@@ -788,17 +746,15 @@ void Runtime::barrier() {
   SMPSS_CHECK(on_main_thread() && !in_task_context(),
               "barrier is main-thread-only and may not be called inside a "
               "task body — use taskwait() to wait for child tasks");
-  // Seal every open commuting group — a barrier is a non-matching access to
-  // everything — and retire any close that is already free; closes whose
-  // members are still running retire on the worker that finishes last.
-  dep_.close_open_groups();
-  if (dep_.has_pending_closes()) drain_group_closes();
+  // No task waits on an open commuting group (any task that depends on one
+  // sealed it when it was submitted), so the drain needs no seal first —
+  // and sealing here would split a group that a running nested generator
+  // is still filling.
   while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
   // All tasks retired (and with them all possible nested submitters): seal
-  // the groups those submitters opened *during* the wait (the first pass
-  // above cannot have seen them), align renamed data back into program
-  // storage, and drop all dependency state; the next spawn starts from a
-  // clean slate.
+  // every open group — a barrier is a non-matching access to everything —
+  // retire the closes, align renamed data back into program storage, and
+  // drop all dependency state; the next spawn starts from a clean slate.
   dep_.close_open_groups();
   if (dep_.has_pending_closes()) drain_group_closes();
   dep_.flush_all();
@@ -817,11 +773,8 @@ void Runtime::wait_on_addr(const void* addr) {
   // future submission would close.
   dep_.close_open_groups();
   if (dep_.has_pending_closes()) drain_group_closes();
-  // In nested mode concurrent submitters may be mutating the tracking
-  // tables; every peek synchronizes on the table that owns the address —
-  // the region rwlock, or the one dependency shard the address hashes to.
-  // The copy-back itself also runs under the shard lock so the "latest"
-  // version cannot be superseded mid-copy.
+  // In nested mode concurrent submitters may be mutating the region table;
+  // the peek takes its rwlock.
   bool region_tracked;
   {
     std::shared_lock<std::shared_mutex> lk(region_mu_, std::defer_lock);
@@ -834,37 +787,19 @@ void Runtime::wait_on_addr(const void* addr) {
     while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
     return;
   }
-  if (dep_.lockfree()) {
-    // Lock-free peek: pin the latest version as a reader (so the copy
-    // source cannot be reused in place under us) and copy back once it is
-    // produced and user storage is quiescent.
-    while (true) {
-      switch (dep_.try_copy_back_lockfree(addr)) {
-        case DependencyAnalyzer::CopyBack::kUntracked:
-          return;  // never touched by a task: nothing to wait for
-        case DependencyAnalyzer::CopyBack::kDone:
-          return;
-        case DependencyAnalyzer::CopyBack::kNotReady:
-          help_once();
-          break;
-      }
-    }
-  }
-  const unsigned shard = dep_.shard_of(addr);
+  // Pin the latest version as a reader (so the copy source cannot be reused
+  // in place under us) and copy back once it is produced and user storage
+  // is quiescent.
   while (true) {
-    {
-      std::unique_lock<std::mutex> lk(dep_.shard_mutex(shard),
-                                      std::defer_lock);
-      if (cfg_.nested_tasks) lk.lock();
-      DataEntry* e = dep_.find(addr);
-      if (!e) return;  // never written by a task: nothing to wait for
-      if (e->latest.load(std::memory_order_acquire)->is_produced() &&
-          e->user_storage_pending.load(std::memory_order_acquire) == 0) {
-        dep_.copy_back_latest(*e);
+    switch (dep_.try_copy_back(addr)) {
+      case DependencyAnalyzer::CopyBack::kUntracked:
+        return;  // never touched by a task: nothing to wait for
+      case DependencyAnalyzer::CopyBack::kDone:
         return;
-      }
+      case DependencyAnalyzer::CopyBack::kNotReady:
+        help_once();
+        break;
     }
-    help_once();
   }
 }
 

@@ -24,22 +24,18 @@
 //
 // With Config::nested_tasks (SMPSS_NESTED=1) the inline demotion is lifted:
 // spawn() is thread-safe and a spawn from inside a task creates a real child
-// task. Dependency analysis runs through an address-striped pipeline whose
-// default (Config::dep_lockfree, SMPSS_DEP_LOCKFREE) takes no mutex at all:
-// each datum's version-chain head is published by CAS and readers pin it
-// speculatively (see dep/dependency_analyzer.hpp), so the in/out/inout
-// submission path is lock-free end to end. The SMPSS_DEP_LOCKFREE=0
-// fallback (and the no-renaming ablation) keeps the PR-3 design: the
-// per-datum tables are hash-sharded (Config::dep_shards), each submission
-// locks only the shards its parameters fall in (acquired in index order,
-// held for the whole analysis — strict two-phase locking). Either way task
-// sequence numbers come from an atomic counter and correctness rests on
-// per-datum version-chain order, not on a global submission order: any two
-// submissions that share a datum are totally ordered at its chain head,
-// which keeps the graph acyclic. The paper-faithful path never takes any
-// lock (single submitter). taskwait() suspends the calling task until its
-// direct children finished, executing other ready tasks meanwhile;
-// barrier/wait_on remain main-thread, outside-any-task calls.
+// task. Dependency analysis takes no mutex in either mode: each datum's
+// version-chain head is published by CAS and readers pin it speculatively
+// (see dep/dependency_analyzer.hpp), so the in/out/inout submission path is
+// lock-free end to end. Only the no-renaming ablation serializes concurrent
+// submitters (on the region rwlock). Task sequence numbers come from an
+// atomic counter and correctness rests on per-datum version-chain order, not
+// on a global submission order: any two submissions that share a datum are
+// totally ordered at its chain head, which keeps the graph acyclic. The
+// paper-faithful path never takes any lock (single submitter). taskwait()
+// suspends the calling task until its direct children finished, executing
+// other ready tasks meanwhile; barrier/wait_on remain main-thread,
+// outside-any-task calls.
 #pragma once
 
 #include <atomic>
@@ -167,7 +163,7 @@ class Runtime {
       }(std::index_sequence_for<Ps...>{});
     } else {
       // Concurrent submitters: collect the footprint first, then run the
-      // analysis under the two-phase shard acquisition.
+      // analysis under whatever region-table lock it needs.
       SmallVector<AccessDesc, 6> descs;
       [&]<std::size_t... Is>(std::index_sequence<Is...>) {
         (collect_param<Is>(closure, descs), ...);
@@ -314,13 +310,10 @@ class Runtime {
   void* route_access(TaskNode* t, const AccessDesc& d,
                      bool check_region_table = true);
 
-  /// Concurrent-submitter analysis. Lock-free mode: run every per-datum
-  /// analysis straight in (CAS chain publication; only the region rwlock is
-  /// taken, and only when region tracking is live). Locked fallback: lock
-  /// the shards this footprint hashes to (in index order), plus the region
-  /// table (shared for address-only tasks), run the analysis, release —
-  /// strict two-phase locking, any two submissions sharing a shard are
-  /// totally ordered.
+  /// Concurrent-submitter analysis: run every per-datum analysis straight
+  /// in (CAS chain publication). Only the region rwlock is taken —
+  /// exclusively for region-mode tasks and for the no-renaming ablation,
+  /// shared for address-only tasks while region tracking is live.
   void analyze_accesses(TaskNode* t, const AccessDesc* descs, std::size_t n);
 
   /// Hook up the parent link, assign the (atomic) sequence number, record
@@ -433,7 +426,7 @@ class Runtime {
     }
 
     // Streams are concurrent submitters by definition: always the collected
-    // two-phase shard path (open_stream requires Config::nested_tasks).
+    // footprint path (open_stream requires Config::nested_tasks).
     begin_submission(t);
     SmallVector<AccessDesc, 6> descs;
     [&]<std::size_t... Is>(std::index_sequence<Is...>) {
@@ -472,18 +465,18 @@ class Runtime {
   std::atomic<bool> shutdown_{false};
   std::atomic<std::uint64_t> inlined_{0};
 
-  /// Guards the RegionAnalyzer tables, ordered after every dependency
-  /// shard mutex in the two-phase acquisition. Region-qualified submissions
-  /// hold it exclusively; address-mode submissions hold it shared (only for
-  /// the mixed-mode diagnosis), so they stay mutually concurrent. The
-  /// single-submitter path never touches it. Mutable: stats() takes it
-  /// shared to snapshot the region counters.
+  /// Guards the RegionAnalyzer tables. Region-qualified submissions hold it
+  /// exclusively, and so do all submissions of the no-renaming ablation
+  /// (its reader lists need them serialized); address-mode submissions
+  /// otherwise hold it shared (only for the mixed-mode diagnosis), so they
+  /// stay mutually concurrent. The single-submitter path never touches it.
+  /// Mutable: stats() takes it shared to snapshot the region counters.
   mutable std::shared_mutex region_mu_;
 
   /// Invocation identifier source. Atomic: sequence numbers identify tasks
   /// in traces and the recorded graph but no longer define a global
   /// submission order — correctness rests on per-datum version-chain order
-  /// established under the shard locks.
+  /// established by the chain-head CAS.
   std::atomic<std::uint64_t> seq_{0};
 
   // submission-side counters; atomics because nested mode submits from many

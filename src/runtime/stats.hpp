@@ -115,8 +115,8 @@ struct StatsSnapshot {
   std::uint64_t copy_in_bytes = 0;
   std::uint64_t copyback_bytes = 0;
   std::uint64_t tracked_objects = 0;
-  /// Lost CAS races in the lock-free dependency pipeline (publication
-  /// retries + aborted reader pins); zero in locked mode.
+  /// Lost CAS races on the dependency chain heads (publication retries +
+  /// aborted reader pins); always zero with a single submitter.
   std::uint64_t lockfree_cas_retries = 0;
   std::uint64_t region_accesses = 0;
 

@@ -8,7 +8,10 @@
 // private shows up as a wrong number, not a flake.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "apps/pagerank.hpp"
@@ -95,17 +98,6 @@ TEST(Commutative, NoRenamingAblation) {
   EXPECT_EQ(x, 128);
 }
 
-TEST(Commutative, LockedAnalyzerAblation) {
-  Config c = threads(4);
-  c.dep_lockfree = false;
-  Runtime rt(c);
-  std::int64_t x = 0;
-  for (int i = 0; i < 128; ++i)
-    rt.spawn([](std::int64_t* p) { racy_add(p, 1); }, commutative(&x));
-  rt.barrier();
-  EXPECT_EQ(x, 128);
-}
-
 TEST(Commutative, NestedSubmitters) {
   Config c = threads(4);
   c.nested_tasks = true;
@@ -123,6 +115,40 @@ TEST(Commutative, NestedSubmitters) {
     });
   rt.barrier();
   EXPECT_EQ(x, 8 * 32);
+}
+
+TEST(Commutative, BarrierDoesNotSplitGroupOfRunningGenerator) {
+  // Regression: barrier() used to seal every open group on entry, including
+  // one a still-running nested generator was filling; the generator's later
+  // members then opened a second group behind the first one's close. The
+  // barrier now seals only after every task (so every submitter) retired.
+  Config c = threads(4);
+  c.nested_tasks = true;
+  Runtime rt(c);
+  std::int64_t x = 0;
+  std::atomic<bool> first_spawned{false};
+  Runtime* rtp = &rt;
+  std::int64_t* xp = &x;
+  rt.spawn([rtp, xp, &first_spawned]() {
+    rtp->spawn([](std::int64_t* p) { racy_add(p, 1); }, commutative(xp));
+    first_spawned.store(true, std::memory_order_release);
+    // Give an entry-time seal of the barrier below time to land.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+    while (rtp->stats().groups_closed == 0 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    for (int i = 0; i < 3; ++i)
+      rtp->spawn([](std::int64_t* p) { racy_add(p, 1); }, commutative(xp));
+  });
+  while (!first_spawned.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  rt.barrier();
+  EXPECT_EQ(x, 4);
+  const StatsSnapshot s = rt.stats();
+  EXPECT_EQ(s.groups_opened, 1u);
+  EXPECT_EQ(s.groups_closed, 1u);
+  EXPECT_EQ(s.group_joins, 4u);
 }
 
 // --- conflict tokens across groups ---------------------------------------------
@@ -290,11 +316,6 @@ TEST(PageRank, InoutMatchesSequentialOracle) {
 }
 TEST(PageRank, SingleThreadCommutative) {
   check_pagerank(threads(1), /*use_commutative=*/true);
-}
-TEST(PageRank, LockedAnalyzer) {
-  Config c = threads(4);
-  c.dep_lockfree = false;
-  check_pagerank(c, /*use_commutative=*/true);
 }
 TEST(PageRank, AwarePolicy) {
   Config c = threads(4);

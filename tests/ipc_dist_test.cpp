@@ -200,24 +200,13 @@ void check_dist(const PatternSpec& spec, const DistVariant& v) {
 
 const DistVariant kFlatVariants[] = {
     {"flat", [](RunOptions&) {}},
-    {"flat_lockfree", [](RunOptions& o) { o.cfg.nested_tasks = true; }},
-    {"flat_locked",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
-     }},
+    {"flat_nested", [](RunOptions& o) { o.cfg.nested_tasks = true; }},
 };
 
 const DistVariant kNestedVariants[] = {
-    {"nested_steps_lockfree",
+    {"nested_steps",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
-     }},
-    {"nested_steps_locked",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
        o.shape = SubmitShape::NestedSteps;
      }},
 };
@@ -500,8 +489,6 @@ RunOptions random_dist_options(Xoshiro256& rng) {
   o.cfg.renaming = rng.next_below(2) == 0;
   o.cfg.chain_depth = std::array<unsigned, 3>{0, 1, 16}[rng.next_below(3)];
   o.cfg.task_window = std::array<std::size_t, 3>{4, 16, 8192}[rng.next_below(3)];
-  o.cfg.dep_shards = rng.next_below(2) ? 64u : 1u;
-  o.cfg.dep_lockfree = rng.next_below(2) == 0;
   o.cfg.nested_tasks = rng.next_below(2) == 0;
   if (o.cfg.nested_tasks && rng.next_below(2) == 0)
     o.shape = SubmitShape::NestedSteps;

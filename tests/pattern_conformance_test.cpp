@@ -4,11 +4,11 @@
 // all_to_all, spread) is lowered onto the runtime in both address mode and
 // region mode and swept through the runtime's configuration axes — nested
 // submission on/off (flat and per-step generator-task shapes), renaming
-// on/off, chain depth 0/1/default, pooling on/off, dependency shards 1/64,
-// small task windows, both schedulers — and the final memory image must be
-// bit-identical to the sequential oracle every time. Any missed or phantom
-// dependency, lost rename copy, or torn cell in any configuration shows up
-// as a checksum mismatch.
+// on/off, chain depth 0/1/default, pooling on/off, small task windows, both
+// schedulers — and the final memory image must be bit-identical to the
+// sequential oracle every time. Any missed or phantom dependency, lost
+// rename copy, or torn cell in any configuration shows up as a checksum
+// mismatch.
 //
 // The PatternFuzz suite additionally draws random (spec, config) pairs from
 // a seed stream under a time budget:
@@ -49,7 +49,7 @@ struct Variant {
 
 // One axis varied at a time off the 4-thread default, plus the combined
 // stress rows at the end. The NestedSteps rows move submission itself onto
-// the workers (concurrent submit/retire through the sharded pipeline).
+// the workers (concurrent submit/retire on the CAS version chains).
 const Variant kSweep[] = {
     {"default", [](RunOptions&) {}},
     {"threads1", [](RunOptions& o) { o.cfg.num_threads = 1; }},
@@ -61,16 +61,7 @@ const Variant kSweep[] = {
     {"centralized",
      [](RunOptions& o) { o.cfg.scheduler_mode = SchedulerMode::Centralized; }},
     {"extra_field", [](RunOptions& o) { o.nfields = 3; }},
-    {"nested_flat_shards1",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_shards = 1;
-     }},
-    {"nested_flat_shards64",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_shards = 64;
-     }},
+    {"nested_flat", [](RunOptions& o) { o.cfg.nested_tasks = true; }},
     {"nested_steps",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
@@ -87,77 +78,35 @@ const Variant kSweep[] = {
        o.cfg.task_window = 4;
        o.cfg.renaming = false;
      }},
-    {"nested_steps_window16_shards1",
+    {"nested_steps_window16",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
        o.shape = SubmitShape::NestedSteps;
        o.cfg.task_window = 16;
-       o.cfg.dep_shards = 1;
      }},
-    // Lock-free sweep: dep_lockfree on/off crossed with the shard layout and
-    // chain-depth axes. The nested rows above already exercise the lock-free
-    // path at default chain depth (dep_lockfree defaults on); these rows pin
-    // the remaining combinations, including the locked fallback that
-    // SMPSS_DEP_LOCKFREE=0 selects.
-    {"lockfree_chain0_shards1",
+    {"nested_chain0",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
        o.cfg.chain_depth = 0;
-       o.cfg.dep_shards = 1;
      }},
-    {"lockfree_chain0_shards64",
+    // The no-renaming ablation under concurrent submitters: its WAR/WAW
+    // edges come from per-version reader lists, which the runtime serializes
+    // on the region rwlock.
+    {"nested_steps_renaming_off",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
-       o.cfg.chain_depth = 0;
-       o.cfg.dep_shards = 64;
-     }},
-    {"locked_nested_shards1",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
-       o.cfg.dep_shards = 1;
-     }},
-    {"locked_nested_shards64",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
-       o.cfg.dep_shards = 64;
-     }},
-    {"locked_nested_chain0",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
-       o.cfg.chain_depth = 0;
-     }},
-    {"locked_nested_steps",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
        o.shape = SubmitShape::NestedSteps;
+       o.cfg.renaming = false;
      }},
     // Aware scheduling policy: placement and ordering change completely
     // (cost EWMA, critical-path promotion, locality routing, per-worker
-    // deques) but the dataflow must not. Crossed with both dependency-engine
-    // modes and both nested shapes.
+    // deques) but the dataflow must not. Crossed with both nested shapes.
     {"aware",
      [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
-    {"aware_lockfree_nested_shards1",
+    {"aware_nested_flat",
      [](RunOptions& o) {
        o.cfg.sched_policy = SchedPolicyKind::Aware;
        o.cfg.nested_tasks = true;
-       o.cfg.dep_shards = 1;
-     }},
-    {"aware_lockfree_nested_shards64",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_shards = 64;
-     }},
-    {"aware_locked_nested",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
      }},
     {"aware_nested_steps",
      [](RunOptions& o) {
@@ -168,33 +117,20 @@ const Variant kSweep[] = {
     // Multi-process rows (SMPSS_PROCS > 1): the dependency manager sharded
     // by datum hash across fork()ed ranks over shared memory. Address-mode
     // only (check_spec skips them in region mode) and skipped under TSan
-    // (fork + threads); crossed with both submission shapes and both
-    // dependency-engine modes. ipc_dist_test owns the deeper sweep — these
-    // rows keep the cross-process backend inside the same differential
-    // harness every single-process configuration answers to.
+    // (fork + threads); crossed with flat, nested-flat and nested-step
+    // submission. ipc_dist_test owns the deeper sweep — these rows keep the
+    // cross-process backend inside the same differential harness every
+    // single-process configuration answers to.
     {"procs2_flat", [](RunOptions& o) { o.cfg.procs = 2; }},
-    {"procs2_flat_lockfree",
+    {"procs2_nested_flat",
      [](RunOptions& o) {
        o.cfg.procs = 2;
        o.cfg.nested_tasks = true;
-     }},
-    {"procs2_flat_locked",
-     [](RunOptions& o) {
-       o.cfg.procs = 2;
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
      }},
     {"procs2_nested_steps",
      [](RunOptions& o) {
        o.cfg.procs = 2;
        o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
-     }},
-    {"procs2_nested_steps_locked",
-     [](RunOptions& o) {
-       o.cfg.procs = 2;
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
        o.shape = SubmitShape::NestedSteps;
      }},
     {"procs3_threads1",
@@ -312,8 +248,8 @@ TEST(PatternConformance, Spread) {
 // land on oracle_step_sums exactly — wrapping uint64 addition commutes, so
 // any member order that respects mutual exclusion is correct and any torn
 // update, lost wakeup, double combine, or missed private shows up as a sum
-// mismatch. Swept across lockfree/locked × paper/aware, the axes whose
-// acquire paths differ.
+// mismatch. Swept across paper/aware (whose acquire paths differ) and the
+// submission shapes.
 
 struct AccumVariant {
   const char* name;
@@ -321,30 +257,18 @@ struct AccumVariant {
 };
 
 const AccumVariant kAccumSweep[] = {
-    {"lockfree_paper", [](RunOptions&) {}},
-    {"lockfree_aware",
+    {"paper", [](RunOptions&) {}},
+    {"aware",
      [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
-    {"locked_paper", [](RunOptions& o) { o.cfg.dep_lockfree = false; }},
-    {"locked_aware",
-     [](RunOptions& o) {
-       o.cfg.dep_lockfree = false;
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-     }},
     {"threads1", [](RunOptions& o) { o.cfg.num_threads = 1; }},
     {"renaming_off", [](RunOptions& o) { o.cfg.renaming = false; }},
     {"chain0", [](RunOptions& o) { o.cfg.chain_depth = 0; }},
     {"window16", [](RunOptions& o) { o.cfg.task_window = 16; }},
     {"nested_flat",
      [](RunOptions& o) { o.cfg.nested_tasks = true; }},
-    {"nested_steps_lockfree",
+    {"nested_steps",
      [](RunOptions& o) {
        o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
-     }},
-    {"nested_steps_locked",
-     [](RunOptions& o) {
-       o.cfg.nested_tasks = true;
-       o.cfg.dep_lockfree = false;
        o.shape = SubmitShape::NestedSteps;
      }},
 };
@@ -495,8 +419,6 @@ RunOptions random_options(Xoshiro256& rng, const PatternSpec& spec) {
   o.cfg.chain_depth = std::array<unsigned, 3>{0, 1, 16}[rng.next_below(3)];
   o.cfg.pool_cache = rng.next_below(2) ? 64u : 0u;
   o.cfg.task_window = std::array<std::size_t, 3>{4, 16, 8192}[rng.next_below(3)];
-  o.cfg.dep_shards = rng.next_below(2) ? 64u : 1u;
-  o.cfg.dep_lockfree = rng.next_below(2) == 0;
   o.cfg.sched_policy =
       rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
   o.cfg.nested_tasks = rng.next_below(2) == 0;
@@ -573,7 +495,7 @@ TEST(PatternFuzz, TimeBoxedRandomSweep) {
 // Random (stream count, per-stream window/weight, spec, lowering, arrival
 // stagger) drawn from one seed: N client threads multiplex independent
 // pattern graphs onto one runtime through StreamHandles, racing the
-// admission queue and the sharded analyzers; every image must still match
+// admission queue and the concurrent analyzers; every image must still match
 // its sequential oracle. The shape (everything but the OS interleaving) is
 // seed-determined, so SMPSS_TEST_SEED replays it exactly.
 
@@ -584,8 +506,6 @@ void run_service_fuzz_seed(std::uint64_t seed) {
   cfg.nested_tasks = true;
   cfg.task_window =
       std::array<std::size_t, 3>{24, 128, 8192}[rng.next_below(3)];
-  cfg.dep_shards = rng.next_below(2) ? 64u : 1u;
-  cfg.dep_lockfree = rng.next_below(2) == 0;
   cfg.sched_policy =
       rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
   const int nstreams = 2 + static_cast<int>(rng.next_below(3));  // 2..4

@@ -58,7 +58,7 @@ PatternSpec stream_spec(PatternKind kind, std::uint64_t seed) {
 
 // N client threads, each driving its own stream with its own pattern (its
 // own image — independent graphs multiplexed onto one runtime), racing each
-// other through the sharded analyzers and the admission queue. Every final
+// other through the concurrent analyzers and the admission queue. Every final
 // image must be bit-identical to the sequential oracle.
 TEST(ServiceMode, MultiStreamConformance) {
   const PatternKind kinds[] = {PatternKind::Chain, PatternKind::Stencil1D,

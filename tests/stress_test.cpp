@@ -122,7 +122,7 @@ TEST_P(SchedulerSweep, ContendedDagCorrect) {
 TEST_P(SchedulerSweep, ConcurrentSubmissionHammer) {
   // N parent tasks spawn simultaneously from every worker: per-parent
   // dependency chains (private data), a shared opaque counter, and a
-  // taskwait-checked join. Hammers the sharded submission pipeline, the
+  // taskwait-checked join. Hammers the concurrent submission pipeline, the
   // per-datum version chains, and the per-worker ready-list routing at once.
   auto [mode, order, nested] = GetParam();
   if (!nested) GTEST_SKIP() << "hammer targets multi-threaded submission";
