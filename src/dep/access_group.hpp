@@ -100,8 +100,8 @@ struct AccessGroup {
   void maybe_init_copy() noexcept {
     if (!init_pending.load(std::memory_order_relaxed)) return;
     if (init_pending.exchange(false, std::memory_order_acq_rel))
-      // Same inherit copy as the close-node path: overlap-safe, because
-      // master/private extents may alias inside a shared transfer segment.
+      // Same inherit copy as the close-node path, overlap-safe (see
+      // common/memcopy.hpp).
       for (unsigned i = 0; i < init_count; ++i)
         safe_copy(init_copies[i].dst, init_copies[i].src,
                   init_copies[i].bytes);

@@ -286,14 +286,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
                         too_small;
     if (!hazard) {
       // The RAW on the reused value is ordered by the pending-count edge
-      // alone; with raw-pred tracking on, also register it as a read so the
-      // scheduling policy's submit hook sees the producer (the reader token
-      // only extends the superseded version's lifetime to this completion).
-      // v is stable here — we hold its former latest-token.
-      if (track_raw_preds_ && also_reads && !available_to(task, v)) {
-        v->register_reader();
-        task->reads.push_back(v);
-      }
+      // alone.
       storage = v->storage();
       renamed = v->renamed();
       // In-place reuse moves buffer ownership — and with it the stream
@@ -361,11 +354,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       if (r != task && !r->finished_hint() && !task->has_ancestor(r)) {
         add_edge(st, r, task, EdgeKind::Anti);
       }
-    }
-    // Same raw-pred visibility as the renaming reuse path above.
-    if (track_raw_preds_ && also_reads && !available_to(task, v)) {
-      v->register_reader();
-      task->reads.push_back(v);
     }
     storage = v->storage();
   }

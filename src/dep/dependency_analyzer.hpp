@@ -107,13 +107,6 @@ class DependencyAnalyzer {
 
   ~DependencyAnalyzer();
 
-  /// When set (the aware scheduling policy wants its submit hook fed), an
-  /// in-place-reused inout registers its RAW-predecessor version as a read,
-  /// so Runtime::policy_submit sees every true-dependence producer —
-  /// without it, only renamed inputs reach `task->reads` and inout chains
-  /// are invisible to critical-path priorities. Set before any submission.
-  void set_track_raw_preds(bool on) noexcept { track_raw_preds_ = on; }
-
   // --- commuting groups (Dir::Commutative / Dir::Concurrent) ----------------
   // A run of consecutive matching commutative/concurrent accesses to one
   // datum forms an AccessGroup: one synthetic "close" TaskNode stands in as
@@ -253,7 +246,6 @@ class DependencyAnalyzer {
 
   RenamePool& pool_;
   bool renaming_;
-  bool track_raw_preds_ = false;
   GraphRecorder* recorder_;
   unsigned workers_;     ///< sizes per-worker reduction privates (owner_slots)
   std::unique_ptr<std::atomic<DataEntry*>[]> buckets_;

@@ -258,30 +258,10 @@ class TaskNode {
 
   TaskNode* queue_next = nullptr;  ///< intrusive link for the global FIFOs
 
-  // Scheduler-policy state (AwarePolicy; see sched/policy.hpp). All atomics
-  // are relaxed-only — they carry heuristic weight, not synchronization.
-
-  /// Top-level critical-path distance (longest predecessor chain including
-  /// this task's own estimated cost, ns). Written by on_submit; atomic
-  /// because a concurrent nested submitter may read a just-published
-  /// producer's distance before the producer's own on_submit stored it (it
-  /// then reads 0 — an underestimate, never garbage).
-  std::atomic<std::uint64_t> path_ns{0};
-  /// One-hop bottom-level raise: fetch-max'd by each successor's submission
-  /// with the successor's estimated cost. Priority = path_ns + bl_ns.
-  std::atomic<std::uint64_t> bl_ns{0};
-  /// Worker executing (or having executed) this task; ~0u until the body
-  /// starts. Read by successors' submissions for the locality vote, which
-  /// may race the start of execution — hence atomic.
-  std::atomic<std::uint32_t> exec_tid{~0u};
   /// Worker whose queue this task was placed toward (~0u = no preference);
   /// written before queue publication, compared against the executing
   /// worker for the locality-hit statistics.
   std::uint32_t pref_tid = ~0u;
-  /// User cost hint in ns from TaskAttrs (0 = none). The aware policy's
-  /// cost_estimate prefers it over the type's default until measured
-  /// execution times take over.
-  std::uint64_t weight = 0;
 
   // --- nesting (only used with Config::nested_tasks) ------------------------
 

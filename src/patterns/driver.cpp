@@ -7,7 +7,6 @@
 #include "baselines/forkjoin/forkjoin.hpp"
 #include "baselines/taskpool/taskpool.hpp"
 #include "common/check.hpp"
-#include "ipc/dist_runtime.hpp"
 #include "runtime/runtime.hpp"
 
 namespace smpss::patterns {
@@ -44,9 +43,7 @@ std::string RunOptions::describe() const {
      << " threads=" << cfg.num_threads << " renaming=" << cfg.renaming
      << " nested=" << cfg.nested_tasks << " chain=" << cfg.chain_depth
      << " pool=" << cfg.pool_cache << " window=" << cfg.task_window
-     << " sched=" << to_string(cfg.scheduler_mode)
-     << " policy=" << to_string(cfg.sched_policy);
-  if (cfg.procs > 1) os << " procs=" << cfg.procs;
+     << " sched=" << to_string(cfg.scheduler_mode);
   if (accum != AccumMode::None) os << " accum=" << to_string(accum);
   return os.str();
 }
@@ -466,25 +463,6 @@ void submit_pattern_stream(StreamHandle& stream, TaskType point,
 }
 
 RunResult run_pattern(const PatternSpec& spec, const RunOptions& opt) {
-  // cfg.procs > 1 routes to the multi-process backend (one dependency-
-  // manager shard per rank over shared memory); 1 is the single-process
-  // runtime below, untouched.
-  if (opt.cfg.procs > 1) {
-    ipc::DistResult d = ipc::run_pattern_dist(spec, opt, opt.cfg.procs);
-    SMPSS_CHECK(d.clean_children, "a worker rank exited uncleanly");
-    SMPSS_CHECK(d.retires_received == d.total_tasks,
-                "retire accounting diverged from the task count");
-    RunResult res;
-    res.image = std::move(d.image);
-    // The snapshot a single-process run would fill is per-Runtime; expose
-    // the cross-process totals the rank rows sum to.
-    for (const ipc::DistRankStats& r : d.ranks) {
-      res.stats.tasks_spawned += r.tasks_spawned;
-      res.stats.tasks_executed += r.tasks_executed;
-      res.stats.renames += r.renames;
-    }
-    return res;
-  }
   const int nf = opt.nfields > 0 ? opt.nfields : default_fields(spec);
   PatternImage img = make_initial_image(spec, nf);
   Cell sentinel = 0;

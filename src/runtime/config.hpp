@@ -12,25 +12,17 @@
 //   SMPSS_POOL_CACHE        task-pool blocks cached per worker (0 = malloc)
 //   SMPSS_SCHEDULER         distributed | centralized
 //   SMPSS_STEAL_ORDER       creation | random
-//   SMPSS_SCHED_POLICY      paper | aware (see sched/policy.hpp)
-//   SMPSS_AWARE_CRIT_PPM    aware: high-list promotion threshold vs average
-//   SMPSS_AWARE_LOCALITY_PPM aware: input share needed to prefer a worker
-//   SMPSS_AWARE_COST_NS     aware: assumed cost of a never-run task type
 //   SMPSS_PIN_THREADS       0/1
 //   SMPSS_TRACE             0/1 — record per-task timing events
 //   SMPSS_RECORD_GRAPH      0/1 — record nodes/edges for DOT export
 //   SMPSS_STREAMS           service-mode stream registry capacity
 //   SMPSS_STATS_PERIOD_MS   periodic JSON stats exporter period (0 = off)
 //   SMPSS_STATS_FILE        exporter destination ("" = stderr, appended)
-//   SMPSS_PROCS             worker processes for the pattern drivers'
-//                           multi-process backend (1 = single-process)
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
-#include "sched/policy.hpp"
 #include "sched/ready_lists.hpp"
 
 namespace smpss {
@@ -80,34 +72,6 @@ struct Config {
   SchedulerMode scheduler_mode = SchedulerMode::Distributed;
   StealOrder steal_order = StealOrder::CreationOrder;
 
-  /// Scheduling policy (sched/policy.hpp): Paper is the Sec. III lists
-  /// verbatim; Aware layers cost-EWMA feedback, critical-path promotion,
-  /// locality placement, and topology-near stealing on the same skeleton.
-  SchedPolicyKind sched_policy = SchedPolicyKind::Paper;
-  /// Aware: a ready task is promoted to the high-priority list when its
-  /// critical-path priority exceeds the running average times this / 1e6.
-  std::uint32_t aware_crit_ppm = 1500000;
-  /// Aware: minimum share (ppm) of a task's input versions one worker must
-  /// have produced before placement prefers that worker's queue.
-  std::uint32_t aware_locality_ppm = 500000;
-  /// Aware: assumed cost (ns) of a task type the cost table has never seen.
-  std::uint64_t aware_cost_ns = 1000;
-
-  /// The scheduler-policy slice of this Config (sched/ stays independent of
-  /// runtime/ headers). Call after normalize().
-  PolicyTuning policy_tuning() const {
-    PolicyTuning tu;
-    tu.nthreads = num_threads;
-    tu.mode = scheduler_mode;
-    tu.steal_order = steal_order;
-    tu.nested_tasks = nested_tasks;
-    tu.kind = sched_policy;
-    tu.crit_ppm = aware_crit_ppm;
-    tu.locality_ppm = aware_locality_ppm;
-    tu.default_cost_ns = aware_cost_ns;
-    return tu;
-  }
-
   /// Record task nodes/edges for DOT export and graph statistics.
   bool record_graph = false;
 
@@ -132,15 +96,6 @@ struct Config {
 
   /// Exporter destination, opened in append mode. Empty = stderr.
   std::string stats_path;
-
-  /// Worker processes of the multi-process dependency manager
-  /// (ipc/dist_runtime.hpp): the pattern drivers shard the datum space by
-  /// hash across this many rank processes over a shared-memory segment.
-  /// 1 (the default) is the existing single-process runtime, bit-exact —
-  /// a Runtime itself never forks; only the pattern run_pattern() driver
-  /// consults this field and routes to the distributed backend. Clamped to
-  /// [1, 16] by normalize().
-  unsigned procs = 1;
 
   /// Defaults overridden by SMPSS_* environment variables.
   static Config from_env();

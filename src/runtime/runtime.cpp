@@ -29,11 +29,9 @@ Runtime::Runtime(Config cfg)
       dep_(pool_, cfg_.renaming, &recorder_, cfg_.num_threads,
            cfg_.pool_cache > 0 ? cfg_.pool_cache : 64),
       regions_(&recorder_),
-      policy_(make_policy<TaskNode>(cfg_.policy_tuning())) {
+      ready_(cfg_.num_threads, cfg_.scheduler_mode, cfg_.steal_order,
+             cfg_.nested_tasks) {
   recorder_.set_enabled(cfg_.record_graph);
-  // The aware policy's submit hook needs every RAW producer in task->reads,
-  // including in-place-reused inouts (see set_track_raw_preds).
-  dep_.set_track_raw_preds(policy_->wants_submit_hook());
   // Commuting groups (Dir::Commutative/Concurrent) need a never-scheduled
   // close node per group; it gets a sequence number and a graph-node record
   // like any task so DOT/sched-sim see the group's version producer.
@@ -246,18 +244,6 @@ TaskNode* Runtime::allocate_task(unsigned alloc_slot) {
   return t;
 }
 
-void Runtime::policy_submit(TaskNode* t) {
-  if (!policy_->wants_submit_hook()) return;
-  // Producers of the task's input versions: reads covers in() and inout()
-  // parameters; producer() is a strong ref held through the version, so the
-  // pointers stay valid for the duration of this call. Initial (never
-  // produced) versions have no producer and contribute nothing.
-  SmallVector<TaskNode*, 8> preds;
-  for (Version* v : t->reads)
-    if (TaskNode* p = v->producer()) preds.push_back(p);
-  policy_->on_submit(t, preds.begin(), preds.size());
-}
-
 void Runtime::submit(TaskNode* t) {
   // A group this submission sealed (by issuing a non-matching access) may
   // have had no unfinished members left — its close node is then queued on
@@ -270,7 +256,6 @@ void Runtime::submit(TaskNode* t) {
     std::sort(t->conflicts.begin(), t->conflicts.begin() + t->conflicts.size());
   spawned_.fetch_add(1, std::memory_order_relaxed);
   tasks_live_.fetch_add(1, std::memory_order_relaxed);
-  policy_submit(t);
 
   // Release the creation guard; a task with no unsatisfied inputs "is moved
   // into the main ready list or the high priority list" (Sec. III).
@@ -350,21 +335,20 @@ void Runtime::submit(TaskNode* t) {
 }
 
 void Runtime::enqueue_ready(TaskNode* t, unsigned tid, bool at_creation) {
-  // Placement belongs to the policy; the wakeup protocol stays here (the
-  // gate is the Runtime's). A task placed in a shared list (high/main) or
-  // routed to another worker's inbox always wakes one sleeper; a task in
-  // the enqueuing worker's own list will be popped by the pusher itself on
-  // its next acquire, so only a backlog a thief could take is worth a
-  // wakeup.
+  // Placement belongs to the ready lists; the wakeup protocol stays here
+  // (the gate is the Runtime's). A task placed in a shared list (high/main)
+  // always wakes one sleeper; a task in the enqueuing worker's own list
+  // will be popped by the pusher itself on its next acquire, so only a
+  // backlog a thief could take is worth a wakeup.
   const Placed where =
-      at_creation ? policy_->enqueue_creation(
+      at_creation ? ready_.enqueue_creation(
                         t, tid == kForeignTid
-                               ? SchedulerPolicy<TaskNode>::kNoWorker
+                               ? ReadyLists<TaskNode>::kNoWorker
                                : tid,
                         in_task_context())
-                  : policy_->enqueue_released(t, tid);
+                  : ready_.enqueue_released(t, tid);
   if (where == Placed::Local) {
-    if (policy_->local_size_estimate(tid) > 1) gate_.notify_one();
+    if (ready_.local_size_estimate(tid) > 1) gate_.notify_one();
     return;
   }
   gate_.notify_one();
@@ -375,7 +359,7 @@ TaskNode* Runtime::acquire(unsigned tid) {
   for (;;) {
     AcquireSource src;
     unsigned attempts = 0;
-    TaskNode* t = policy_->acquire(tid, ws.rng, src, attempts);
+    TaskNode* t = ready_.acquire(tid, ws.rng, src, attempts);
     ws.counters.steal_attempts += attempts;
     if (t != nullptr && !t->conflicts.empty()) {
       // Commutative members mutually exclude on their group tokens. A
@@ -434,9 +418,8 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
   if (arrived_by_chain) ++ws.counters.chained;
 
   // Locality accounting: did this task run on the worker placement aimed it
-  // at? (PaperPolicy's own-list pushes set the preference too, so the
-  // hit/miss split is meaningful under both policies; main-list placements
-  // carry no preference and count as neither.)
+  // at? (Own-list placements set the preference; main-list placements carry
+  // none and count as neither.)
   const std::uint32_t pref = t->pref_tid;
   if (pref != ~0u) {
     if (pref == tid)
@@ -444,9 +427,6 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
     else
       ++ws.counters.locality_misses;
   }
-  // Published before the body runs so successors submitted concurrently
-  // vote for the worker whose cache is being warmed right now.
-  t->exec_tid.store(tid, std::memory_order_relaxed);
 
   // Commuting-group entry. Commutative: this worker holds the group tokens
   // (acquired in acquire() / the chain check); the first member to run
@@ -457,12 +437,9 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
   for (const TaskNode::ReduceFixup& f : t->reduce_fixups)
     t->resolved[f.slot] = f.group->private_for(tid);
 
-  // Body timing feeds the tracer and/or the policy's cost table (the aware
-  // policy wants the feedback even in untraced runs).
-  const bool feedback = policy_->wants_exec_feedback();
-  const bool timed = tracer_.enabled() || feedback;
+  const bool traced = tracer_.enabled();
   std::uint64_t t0 = 0;
-  if (timed) t0 = now_ns();
+  if (traced) t0 = now_ns();
 
   // Save/restore: a thread blocked in taskwait() executes other tasks, so
   // task bodies nest on one stack and the innermost one must be visible to
@@ -479,15 +456,10 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
   tc.current_owner = prev_owner;
   tc.in_task_body = prev_in_body;
 
-  if (timed) {
-    std::uint64_t t1 = now_ns();
-    ws.counters.task_ns += t1 - t0;
-    if (feedback) policy_->on_executed(tid, t->type_id, t1 - t0);
-    if (tracer_.enabled())
-      tracer_.record(tid, TraceEvent{t->seq, t->parent ? t->parent->seq : 0,
-                                     t->type_id, tid, t0, t1,
-                                     arrived_by_chain ? 1u : 0u});
-  }
+  if (traced)
+    tracer_.record(tid, TraceEvent{t->seq, t->parent ? t->parent->seq : 0,
+                                   t->type_id, tid, t0, now_ns(),
+                                   arrived_by_chain ? 1u : 0u});
 
   // Release the group tokens FIRST — before the completion edges below can
   // retire a close node — and wake the members parked on them. The member's
@@ -540,7 +512,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
     // A conflicted successor only chains if its tokens are free right now
     // (all-or-nothing, same as acquire()); otherwise it goes to the lists —
     // no parking here, the list-side acquire path handles the deferral.
-    if (allow_chain && !policy_->preempt_chain(s) &&
+    if (allow_chain && !ready_.preempt_chain(s) &&
         (s->conflicts.empty() || try_acquire_conflicts(s) == nullptr)) {
       chain = s;
     } else {
@@ -550,7 +522,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
     // Batched release: publish every released task with one list operation
     // per destination and at most one gate notification for the whole set,
     // instead of a push + notify per successor.
-    policy_->enqueue_batch(released.begin(), released.size(), tid);
+    ready_.enqueue_batch(released.begin(), released.size(), tid);
     // This worker consumes one of the batch itself on its next acquire;
     // the rest are worth at most one wakeup each — and none at all when
     // every wakeable worker is already running (no registered sleeper).
@@ -612,7 +584,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
 
 void Runtime::retire_close(TaskNode* close, unsigned tid) {
   // A close node is not a task: it was never spawned (no live count, no
-  // policy placement, no parent, no stream), has no body, and holds no
+  // ready-list placement, no parent, no stream), has no body, and holds no
   // tokens. Its retire is the data half of execute_one's epilogue — plus
   // the group-specific finalization.
   //
@@ -620,9 +592,8 @@ void Runtime::retire_close(TaskNode* close, unsigned tid) {
   // finished ran maybe_init_copy() under the token, but a group sealed with
   // zero members (open, immediately superseded) still owes the renamed
   // storage its previous contents. The analyzer parks such copies on the
-  // close node's own copy_ins. safe_copy, not memcpy: master and private
-  // extents may overlap once a datum lives inside a shared transfer
-  // segment the runtime did not allocate.
+  // close node's own copy_ins. safe_copy, not memcpy: see
+  // common/memcopy.hpp.
   for (const CopyIn& c : close->copy_ins) safe_copy(c.dst, c.src, c.bytes);
 
   // Concurrent: fold every worker's private into the group storage. The
@@ -675,16 +646,6 @@ void Runtime::drain_group_closes() {
       c = next;
     }
   }
-}
-
-bool Runtime::help_one() {
-  const unsigned tid = submitter_tid();
-  if (tid == kForeignTid) return false;
-  if (TaskNode* t = acquire(tid)) {
-    execute_task(t, tid);
-    return true;
-  }
-  return false;
 }
 
 void Runtime::help_once() {
@@ -840,7 +801,6 @@ StatsSnapshot Runtime::stats() const {
       s.acquired_main += row.acquired_main;
       s.idle_sleeps += row.idle_sleeps;
       s.idle_ns += row.idle_ns;
-      s.task_ns += w.task_ns.get();
       s.locality_hits += row.locality_hits;
       s.locality_misses += row.locality_misses;
       s.chained_executions += row.chained;
@@ -849,7 +809,6 @@ StatsSnapshot Runtime::stats() const {
       s.conflict_deferrals += w.conflict_deferrals.get();
       s.conflict_wakeups += w.conflict_wakeups.get();
     }
-    s.sched_promotions = policy_->promotions();
     std::atomic_thread_fence(std::memory_order_seq_cst);
 
     // The dependency counters are striped atomics now — summing them is

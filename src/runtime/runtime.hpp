@@ -64,7 +64,6 @@
 #include "runtime/stream.hpp"
 #include "sched/admission.hpp"
 #include "sched/idle_wait.hpp"
-#include "sched/policy.hpp"
 #include "sched/ready_lists.hpp"
 #include "trace/tracer.hpp"
 
@@ -123,12 +122,10 @@ class Runtime {
           std::forward<Ps>(ps)...);
   }
 
-  /// Spawn with scheduling hints. `attrs.weight` (ns) seeds the aware
-  /// policy's cost estimate for this one task (0 = use the learned per-type
-  /// estimate); `attrs.name` labels the task for the no-TaskType overload
-  /// below. Hints never change semantics, only placement/ordering.
+  /// Spawn with attributes and an explicit type. `attrs.name` selects a
+  /// type only in the no-TaskType overload below; here `type` wins.
   template <typename F, detail::TaskParam... Ps>
-  void spawn(TaskAttrs attrs, TaskType type, F&& fn, Ps&&... ps) {
+  void spawn(TaskAttrs /*attrs*/, TaskType type, F&& fn, Ps&&... ps) {
     if (!cfg_.nested_tasks && (!on_main_thread() || in_task_context())) {
       // Sec. VII.D: a task call inside a task is a normal function call.
       // The check covers worker threads AND the main thread while it is
@@ -144,7 +141,6 @@ class Runtime {
     TaskNode* t = allocate_task(alloc_slot);
     t->type_id = type.id;
     t->high_priority = types_[type.id].high_priority;
-    t->weight = attrs.weight;
 
     using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
     void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
@@ -215,16 +211,6 @@ class Runtime {
   void wait_on(const T* ptr) {
     wait_on_addr(static_cast<const void*>(ptr));
   }
-
-  /// Execute at most one ready task on the calling thread and return whether
-  /// one ran. Never blocks and never sleeps — this is the cooperative pump
-  /// external wait loops (the multi-process backend's flag/ring waits)
-  /// interleave so a 1-thread configuration keeps making progress while it
-  /// spins on a condition the runtime knows nothing about. Legal from the
-  /// main thread or from inside a task body (same footing as the
-  /// execute-while-waiting loops of barrier()/taskwait()); a thread foreign
-  /// to this runtime gets `false` and must wait some other way.
-  bool help_one();
 
   // --- service mode -------------------------------------------------------------
 
@@ -337,11 +323,6 @@ class Runtime {
   void enqueue_ready(TaskNode* t, unsigned tid, bool at_creation);
   TaskNode* acquire(unsigned tid);
 
-  /// Policy submission hook: collect the producers of this task's input
-  /// versions and hand them to the policy (critical-path + locality state).
-  /// Must run before the creation guard is released. No-op for PaperPolicy.
-  void policy_submit(TaskNode* t);
-
   /// Run `t`, then keep running immediate successors (Config::chain_depth)
   /// as the completions release them — each retire is still complete and in
   /// order (data tokens, parent notification, live count + threshold
@@ -449,11 +430,9 @@ class Runtime {
   GraphRecorder recorder_;
   DependencyAnalyzer dep_;
   RegionAnalyzer regions_;
-  /// Owner of every placement/ordering/steal decision (sched/policy.hpp):
-  /// PaperPolicy wraps the Sec. III ReadyLists verbatim; AwarePolicy adds
-  /// cost-, critical-path-, and locality-aware placement
-  /// (Config::sched_policy / SMPSS_SCHED_POLICY).
-  std::unique_ptr<SchedulerPolicy<TaskNode>> policy_;
+  /// The Sec. III ready lists: owner of every placement, lookup and steal
+  /// decision (sched/ready_lists.hpp).
+  ReadyLists<TaskNode> ready_;
   IdleGate gate_;
   Tracer tracer_;
 

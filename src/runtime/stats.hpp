@@ -23,10 +23,10 @@ struct alignas(kCacheLineSize) WorkerCounters {
   Counter64 acquired_main;
   Counter64 idle_sleeps;
   Counter64 idle_ns;  ///< wall time spent blocked on the idle gate
-  Counter64 task_ns;  ///< accumulated body time (tracing or cost feedback)
   /// Executed tasks whose placement preference (TaskNode::pref_tid) matched /
-  /// missed this worker. PaperPolicy marks its local pushes too, so the
-  /// ratio is meaningful under both policies.
+  /// missed this worker. Own-list placements (released tasks, nested
+  /// children ready at creation) set the preference; main-list placements
+  /// carry none and count as neither.
   Counter64 locality_hits;
   Counter64 locality_misses;
   /// Tasks this worker ran by chaining directly out of a completion (the
@@ -137,12 +137,8 @@ struct StatsSnapshot {
   std::uint64_t acquired_main = 0;
   std::uint64_t idle_sleeps = 0;
   std::uint64_t idle_ns = 0;
-  std::uint64_t task_ns = 0;
   std::uint64_t locality_hits = 0;
   std::uint64_t locality_misses = 0;
-  /// Ready tasks the aware policy promoted to the high-priority list on
-  /// critical-path priority (zero under the paper policy).
-  std::uint64_t sched_promotions = 0;
   /// One row per worker (summed into the aggregates above).
   std::vector<WorkerStatsRow> workers;
 

@@ -90,7 +90,6 @@ void Runtime::submit_stream_task(TaskNode* t) {
     std::sort(t->conflicts.begin(), t->conflicts.begin() + t->conflicts.size());
   spawned_.fetch_add(1, std::memory_order_relaxed);
   tasks_live_.fetch_add(1, std::memory_order_relaxed);
-  policy_submit(t);
   if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
     enqueue_ready(t, submitter_tid(), /*at_creation=*/true);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -95,13 +96,25 @@ TEST(ForkJoinStats, StealsHappenWithManyThreads) {
     GTEST_SKIP() << "stealing needs real hardware parallelism";
   fj::Scheduler s(8);
   std::atomic<long> sink{0};
+  // The children land in the root's own deque, so one that runs on another
+  // thread was stolen. The root waits for that (with a deadline) before it
+  // joins, instead of racing its own sync() against the thieves.
+  const std::thread::id root = std::this_thread::get_id();
+  std::atomic<bool> ran_elsewhere{false};
   s.run_root([&](fj::Context& ctx) {
     for (int i = 0; i < 5000; ++i)
       ctx.spawn([&](fj::Context&) {
         long acc = 0;
         for (int k = 0; k < 2000; ++k) acc += k;
         sink.fetch_add(acc, std::memory_order_relaxed);
+        if (std::this_thread::get_id() != root)
+          ran_elsewhere.store(true, std::memory_order_relaxed);
       });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!ran_elsewhere.load(std::memory_order_relaxed) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
     ctx.sync();
   });
   EXPECT_GT(s.steals(), 0u);

@@ -30,7 +30,6 @@
 #include "common/rng.hpp"
 #include "patterns/driver.hpp"
 #include "runtime/runtime.hpp"
-#include "sanitizer_util.hpp"
 #include "seed_util.hpp"
 
 namespace smpss::patterns {
@@ -98,46 +97,6 @@ const Variant kSweep[] = {
        o.shape = SubmitShape::NestedSteps;
        o.cfg.renaming = false;
      }},
-    // Aware scheduling policy: placement and ordering change completely
-    // (cost EWMA, critical-path promotion, locality routing, per-worker
-    // deques) but the dataflow must not. Crossed with both nested shapes.
-    {"aware",
-     [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
-    {"aware_nested_flat",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-     }},
-    {"aware_nested_steps",
-     [](RunOptions& o) {
-       o.cfg.sched_policy = SchedPolicyKind::Aware;
-       o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
-     }},
-    // Multi-process rows (SMPSS_PROCS > 1): the dependency manager sharded
-    // by datum hash across fork()ed ranks over shared memory. Address-mode
-    // only (check_spec skips them in region mode) and skipped under TSan
-    // (fork + threads); crossed with flat, nested-flat and nested-step
-    // submission. ipc_dist_test owns the deeper sweep — these rows keep the
-    // cross-process backend inside the same differential harness every
-    // single-process configuration answers to.
-    {"procs2_flat", [](RunOptions& o) { o.cfg.procs = 2; }},
-    {"procs2_nested_flat",
-     [](RunOptions& o) {
-       o.cfg.procs = 2;
-       o.cfg.nested_tasks = true;
-     }},
-    {"procs2_nested_steps",
-     [](RunOptions& o) {
-       o.cfg.procs = 2;
-       o.cfg.nested_tasks = true;
-       o.shape = SubmitShape::NestedSteps;
-     }},
-    {"procs3_threads1",
-     [](RunOptions& o) {
-       o.cfg.procs = 3;
-       o.cfg.num_threads = 1;
-     }},
 };
 
 ::testing::AssertionResult images_equal(const PatternImage& got,
@@ -170,21 +129,13 @@ void check_spec(const PatternSpec& spec) {
       opt.cfg = base_config();
       opt.mode = mode;
       v.tweak(opt);
-      // The multi-process backend lowers in address mode only, and fork +
-      // runtime threads is unsupported under TSan — the same rows run
-      // single-process there via the rest of the sweep.
-      if (opt.cfg.procs > 1 &&
-          (mode == LowerMode::Region ||
-           !smpss::testing::fork_backend_supported()))
-        continue;
       if (opt.nfields == 0) opt.nfields = default_fields(spec);
       RunResult r = run_pattern(spec, opt);
-      // NestedSteps spawns one generator per step — per *rank* in the
-      // multi-process backend, where every rank runs its own step chain.
+      // NestedSteps spawns one generator task per step.
       const std::uint64_t expected_tasks =
           spec.total_tasks() +
           (opt.shape == SubmitShape::NestedSteps
-               ? static_cast<std::uint64_t>(spec.steps) * opt.cfg.procs
+               ? static_cast<std::uint64_t>(spec.steps)
                : 0);
       ASSERT_TRUE(images_equal(r.image, expect_for(opt.nfields)))
           << "variant=" << v.name << "\n  " << spec.describe() << "\n  "
@@ -248,8 +199,8 @@ TEST(PatternConformance, Spread) {
 // land on oracle_step_sums exactly — wrapping uint64 addition commutes, so
 // any member order that respects mutual exclusion is correct and any torn
 // update, lost wakeup, double combine, or missed private shows up as a sum
-// mismatch. Swept across paper/aware (whose acquire paths differ) and the
-// submission shapes.
+// mismatch. Swept across thread count, renaming, chaining, window size and
+// the submission shapes.
 
 struct AccumVariant {
   const char* name;
@@ -257,9 +208,7 @@ struct AccumVariant {
 };
 
 const AccumVariant kAccumSweep[] = {
-    {"paper", [](RunOptions&) {}},
-    {"aware",
-     [](RunOptions& o) { o.cfg.sched_policy = SchedPolicyKind::Aware; }},
+    {"default", [](RunOptions&) {}},
     {"threads1", [](RunOptions& o) { o.cfg.num_threads = 1; }},
     {"renaming_off", [](RunOptions& o) { o.cfg.renaming = false; }},
     {"chain0", [](RunOptions& o) { o.cfg.chain_depth = 0; }},
@@ -419,8 +368,6 @@ RunOptions random_options(Xoshiro256& rng, const PatternSpec& spec) {
   o.cfg.chain_depth = std::array<unsigned, 3>{0, 1, 16}[rng.next_below(3)];
   o.cfg.pool_cache = rng.next_below(2) ? 64u : 0u;
   o.cfg.task_window = std::array<std::size_t, 3>{4, 16, 8192}[rng.next_below(3)];
-  o.cfg.sched_policy =
-      rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
   o.cfg.nested_tasks = rng.next_below(2) == 0;
   if (o.cfg.nested_tasks && rng.next_below(2) == 0) {
     o.shape = SubmitShape::NestedSteps;
@@ -437,16 +384,6 @@ RunOptions random_options(Xoshiro256& rng, const PatternSpec& spec) {
     o.accum = (o.cfg.renaming && rng.next_below(2) == 0)
                   ? AccumMode::Concurrent
                   : AccumMode::Commutative;
-  // A quarter of the draws shard the dependency manager across processes.
-  // The draws happen unconditionally so the (spec, config) stream stays
-  // identical across builds; the result only applies where the backend is
-  // legal (address mode, no accumulator side channel) and fork is supported
-  // (not TSan).
-  const bool cross_proc = rng.next_below(4) == 0;
-  const unsigned nprocs = 2 + static_cast<unsigned>(rng.next_below(2));
-  if (cross_proc && o.mode == LowerMode::Address &&
-      o.accum == AccumMode::None && smpss::testing::fork_backend_supported())
-    o.cfg.procs = nprocs;
   return o;
 }
 
@@ -506,8 +443,6 @@ void run_service_fuzz_seed(std::uint64_t seed) {
   cfg.nested_tasks = true;
   cfg.task_window =
       std::array<std::size_t, 3>{24, 128, 8192}[rng.next_below(3)];
-  cfg.sched_policy =
-      rng.next_below(2) ? SchedPolicyKind::Aware : SchedPolicyKind::Paper;
   const int nstreams = 2 + static_cast<int>(rng.next_below(3));  // 2..4
 
   struct Client {

@@ -111,18 +111,18 @@ TEST(SchedSimPolicyReplay, MatchesRuntimeOrderSingleWorker) {
   // window larger than the graph, so every submission precedes every
   // execution. The program mixes lane chains (single-release chaining), a
   // shared reduction (multi-release batches), and high-priority injections
-  // (preempt_chain coverage); the simulator, driving the real policy
+  // (preempt_chain coverage); the simulator, driving the real ReadyLists
   // implementation, must reproduce the runtime's execution order task for
-  // task — under both policies and with chaining off and on.
-  for (SchedPolicyKind kind :
-       {SchedPolicyKind::Paper, SchedPolicyKind::Aware}) {
+  // task — in both scheduler modes and with chaining off and on.
+  for (SchedulerMode mode :
+       {SchedulerMode::Distributed, SchedulerMode::Centralized}) {
     for (unsigned depth : {0u, 16u}) {
       Config cfg;
       cfg.num_threads = 1;
       cfg.record_graph = true;
       cfg.tracing = true;
       cfg.chain_depth = depth;
-      cfg.sched_policy = kind;
+      cfg.scheduler_mode = mode;
       Runtime rt(cfg);
       TaskType urgent = rt.register_task_type("urgent", true);
 
@@ -155,42 +155,14 @@ TEST(SchedSimPolicyReplay, MatchesRuntimeOrderSingleWorker) {
 
       std::vector<std::uint8_t> high(urgent.id + 1, 0);
       high[urgent.id] = 1;
-      const auto sim =
-          simulate_policy_order(rt.graph_recorder(), cfg.policy_tuning(),
-                                cfg.chain_depth, high);
+      const auto sim = simulate_policy_order(rt.graph_recorder(), mode,
+                                             cfg.chain_depth, high);
       ASSERT_EQ(sim.size(), real.size())
-          << "policy=" << to_string(kind) << " depth=" << depth;
+          << "mode=" << to_string(mode) << " depth=" << depth;
       EXPECT_EQ(sim, real) << "simulated order diverged from the runtime "
-                           << "(policy=" << to_string(kind)
+                           << "(mode=" << to_string(mode)
                            << " depth=" << depth << ")";
     }
-  }
-}
-
-TEST(SchedSimPolicy, AwareKeyKeepsMakespanBounds) {
-  // The aware ordering changes which ready task starts first, never the
-  // validity of the schedule: both lower bounds still hold, and on a plain
-  // chain the two policies agree exactly.
-  auto c = chain(10);
-  for (unsigned p : {1u, 4u}) {
-    auto r = simulate_schedule(c, p, {}, SchedPolicyKind::Aware);
-    EXPECT_DOUBLE_EQ(r.makespan, 10.0);
-  }
-  GraphRecorder rec;
-  rec.set_enabled(true);
-  // A wide fork with one long spine: critical-path ordering starts the
-  // spine immediately, so the aware makespan can only match or beat paper.
-  for (int i = 1; i <= 20; ++i)
-    rec.record_node(static_cast<std::uint64_t>(i), 0);
-  for (int i = 2; i <= 8; ++i)  // spine 1 -> 2 -> ... -> 8
-    rec.record_edge(static_cast<std::uint64_t>(i - 1),
-                    static_cast<std::uint64_t>(i), EdgeKind::True);
-  for (unsigned p : {2u, 4u}) {
-    auto aware = simulate_schedule(rec, p, {}, SchedPolicyKind::Aware);
-    auto paper = simulate_schedule(rec, p, {}, SchedPolicyKind::Paper);
-    EXPECT_GE(aware.makespan + 1e-9, aware.critical_path);
-    EXPECT_GE(aware.makespan + 1e-9, aware.total_work / p);
-    EXPECT_LE(aware.makespan, paper.makespan + 1e-9);
   }
 }
 

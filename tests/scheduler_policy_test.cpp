@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -222,10 +224,16 @@ void run_dependency_oracle(Config cfg) {
 }
 
 TEST(SchedulerPolicy, ChainDepthSweepHoldsDependencyOracle) {
-  for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
-    Config cfg;
-    cfg.chain_depth = depth;
-    run_dependency_oracle(cfg);
+  // Placement differs between the modes (per-worker lists + stealing vs one
+  // shared FIFO); results may not.
+  for (SchedulerMode mode :
+       {SchedulerMode::Distributed, SchedulerMode::Centralized}) {
+    for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
+      Config cfg;
+      cfg.chain_depth = depth;
+      cfg.scheduler_mode = mode;
+      run_dependency_oracle(cfg);
+    }
   }
 }
 
@@ -237,13 +245,12 @@ TEST(SchedulerPolicy, ChainDepthSweepHighPriorityStillJumps) {
   }
 }
 
-/// The tentpole preemption pin: a pending high-priority task must preempt a
-/// running normal-priority chain at the next chain boundary — the racy
-/// high-list emptiness probe now lives behind SchedulerPolicy::preempt_chain
-/// and must behave identically through it. Two threads: the worker chains
-/// down a long dependency chain while the main thread (which never helps —
-/// it spin-waits) injects an urgent task mid-chain; the urgent body records
-/// how far the chain had advanced. The bound follows from the probe
+/// The preemption pin: a pending high-priority task must preempt a running
+/// normal-priority chain at the next chain boundary (the racy high-list
+/// emptiness probe of ReadyLists::preempt_chain). Two threads: the worker
+/// chains down a long dependency chain while the main thread (which never
+/// helps — it spin-waits) injects an urgent task mid-chain; the urgent body
+/// records how far the chain had advanced. The bound follows from the probe
 /// semantics: the chain can complete at most the in-flight task plus a
 /// couple of already-promoted steps before the high list is served.
 void run_chain_preemption(Config cfg) {
@@ -274,67 +281,22 @@ void run_chain_preemption(Config cfg) {
            },
            opaque(&dummy));
   // Spin without helping: the preemption must come from the chaining worker
-  // honoring the policy probe, not from this thread draining the high list.
+  // honoring the probe, not from this thread draining the high list.
   while (urgent_at.load(std::memory_order_acquire) < 0) {
   }
   rt.barrier();
   EXPECT_EQ(sink, static_cast<long>(kChain) * 20000);
   EXPECT_LE(urgent_at.load(), at_spawn + 5)
-      << "urgent task waited out the chain (policy="
-      << to_string(cfg.sched_policy) << " chain_depth=" << cfg.chain_depth
+      << "urgent task waited out the chain (chain_depth=" << cfg.chain_depth
       << ")";
 }
 
-TEST(SchedulerPolicy, HighPriorityPreemptsChainUnderBothPolicies) {
-  for (SchedPolicyKind kind :
-       {SchedPolicyKind::Paper, SchedPolicyKind::Aware}) {
-    for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
-      Config cfg;
-      cfg.sched_policy = kind;
-      cfg.chain_depth = depth;
-      run_chain_preemption(cfg);
-    }
+TEST(SchedulerPolicy, HighPriorityPreemptsChain) {
+  for (unsigned depth : {0u, 1u, Config{}.chain_depth}) {
+    Config cfg;
+    cfg.chain_depth = depth;
+    run_chain_preemption(cfg);
   }
-}
-
-TEST(SchedulerPolicy, AwarePolicyHoldsDependencyOracle) {
-  // The full oracle program (chains + reductions + fan-out) under the aware
-  // policy, across chain depths and both scheduler modes: placement may
-  // differ, results may not.
-  for (unsigned depth : {0u, Config{}.chain_depth}) {
-    for (SchedulerMode mode :
-         {SchedulerMode::Distributed, SchedulerMode::Centralized}) {
-      Config cfg;
-      cfg.sched_policy = SchedPolicyKind::Aware;
-      cfg.chain_depth = depth;
-      cfg.scheduler_mode = mode;
-      run_dependency_oracle(cfg);
-    }
-  }
-}
-
-TEST(SchedulerPolicy, AwareIndependentWorkStillSpreads) {
-  if (std::thread::hardware_concurrency() < 4)
-    GTEST_SKIP() << "spread over >=4 workers needs real hardware parallelism";
-  Config cfg;
-  cfg.num_threads = 8;
-  cfg.sched_policy = SchedPolicyKind::Aware;
-  Runtime rt(cfg);
-  constexpr int kTasks = 256;
-  std::vector<std::thread::id> executor(kTasks);
-  std::vector<long> sinks(kTasks, 0);
-  for (int i = 0; i < kTasks; ++i)
-    rt.spawn(
-        [i, &executor](long* p) {
-          executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-          *p = 0;
-          burn_cycles(200000, p);
-        },
-        out(&sinks[i]));
-  rt.barrier();
-  std::set<std::thread::id> distinct(executor.begin(), executor.end());
-  EXPECT_GE(distinct.size(), 4u)
-      << "aware policy must not serialize independent work";
 }
 
 TEST(SchedulerPolicy, PureChainIsMostlyChainedExecutions) {
@@ -367,12 +329,34 @@ TEST(SchedulerPolicy, CentralizedModeStillBalances) {
   cfg.num_threads = 8;
   cfg.scheduler_mode = SchedulerMode::Centralized;
   Runtime rt(cfg);
+  // Rendezvous instead of timing: each body records its thread, then waits
+  // until 4 distinct threads have entered a body. A single FIFO that hands
+  // work to every waking worker passes at once; one that let a single
+  // thread drain the queue would hold every body until the shared deadline.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::mutex mu;
+  std::set<std::thread::id> entered;
+  const auto rendezvous = [&] {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      entered.insert(std::this_thread::get_id());
+    }
+    while (std::chrono::steady_clock::now() < deadline) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (entered.size() >= 4) return;
+      }
+      std::this_thread::yield();
+    }
+  };
   std::vector<std::thread::id> executor(128);
   std::vector<long> sinks(128, 0);
   for (int i = 0; i < 128; ++i)
     rt.spawn(
-        [i, &executor](long* p) {
+        [i, &executor, &rendezvous](long* p) {
           executor[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+          rendezvous();
           *p = 0;
           burn_cycles(100000, p);
         },

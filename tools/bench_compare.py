@@ -20,7 +20,10 @@ Usage:
     bench_compare.py --baseline DIR --current DIR [--threshold 0.20]
 
 A missing baseline directory or file is not a failure — the first run on a
-fresh cache seeds the baseline instead of gating against nothing.
+fresh cache seeds the baseline instead of gating against nothing. A baseline
+row (or whole file) with no current counterpart is listed as ``removed``, so
+a deleted bench shows in the table instead of vanishing; it never fails the
+gate.
 """
 
 import argparse
@@ -101,12 +104,20 @@ def main():
              "|---|---|---|---|---|"]
     regressions = []
     compared = 0
-    for cur_path in current_files:
-        fname = os.path.basename(cur_path)
+    fnames = {os.path.basename(p) for p in current_files}
+    fnames |= {os.path.basename(p) for p in
+               glob.glob(os.path.join(args.baseline, "BENCH_*.json"))}
+    for fname in sorted(fnames):
+        cur_path = os.path.join(args.current, fname)
         base_path = os.path.join(args.baseline, fname)
-        current = load_medians(cur_path)
+        current = load_medians(cur_path) if os.path.exists(cur_path) else {}
         baseline = load_medians(base_path) if os.path.exists(base_path) else {}
-        for name, (cur, higher) in sorted(current.items()):
+        for name in sorted(current.keys() | baseline.keys()):
+            if name not in current:
+                lines.append(f"| `{name}` | {fmt(baseline[name][0])} | — | — "
+                             "| removed |")
+                continue
+            cur, higher = current[name]
             entry = baseline.get(name)
             base = entry[0] if entry is not None else None
             if base is None or base <= 0:

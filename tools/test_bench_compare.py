@@ -4,7 +4,9 @@
 Covers the regression gate's edge cases around the baseline: a missing
 baseline directory seeds instead of failing, a zero or missing baseline
 median (the ``::p99_ns`` hazard) reports "new benchmark" instead of
-crashing the gate, and genuine throughput/tail regressions still fail.
+crashing the gate, a baseline row or file with no current counterpart is
+listed as removed without failing, and genuine throughput/tail regressions
+still fail.
 """
 
 import contextlib
@@ -106,6 +108,33 @@ class BenchCompareTest(unittest.TestCase):
         code, out = run_gate(self.base, self.cur)
         self.assertEqual(code, 0)
         self.assertIn("| `BM_S/1::p99_ns` | — |", out)
+
+    def test_missing_current_row_reports_removed(self):
+        write_bench(self.base, "BENCH_x.json", [
+            bench_row("BM_A/1", tasks_per_s=100.0),
+            bench_row("BM_B/1", tasks_per_s=50.0),
+        ])
+        write_bench(self.cur, "BENCH_x.json", [bench_row("BM_A/1",
+                                                         tasks_per_s=100.0)])
+        code, out = run_gate(self.base, self.cur)
+        self.assertEqual(code, 0)
+        self.assertIn("| `BM_B/1` | 50.00 | — | — | removed |", out)
+        self.assertIn("gate passed (1 benchmark(s)", out)
+
+    def test_missing_current_file_reports_removed(self):
+        write_bench(self.base, "BENCH_x.json", [bench_row("BM_A/1",
+                                                          tasks_per_s=100.0)])
+        write_bench(self.base, "BENCH_gone.json", [
+            bench_row("BM_G/1", tasks_per_s=2000.0),
+            bench_row("BM_H/1", real_time=3.5),
+        ])
+        write_bench(self.cur, "BENCH_x.json", [bench_row("BM_A/1",
+                                                         tasks_per_s=100.0)])
+        code, out = run_gate(self.base, self.cur)
+        self.assertEqual(code, 0)
+        self.assertIn("| `BM_G/1` | 2.00k | — | — | removed |", out)
+        self.assertIn("| `BM_H/1` | 3.50 | — | — | removed |", out)
+        self.assertIn("gate passed (1 benchmark(s)", out)
 
     def test_throughput_regression_fails(self):
         write_bench(self.base, "BENCH_x.json", [bench_row("BM_A/1",
