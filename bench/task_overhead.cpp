@@ -1,15 +1,14 @@
 // Per-task overhead microbench for the retire-side fast path: spawn+retire
 // latency with near-empty bodies, isolating what the runtime itself costs
 // per task. Three shapes, each stressing one layer of the completion-side
-// overhaul, each ablated via the knobs so CI's bench-compare gate tracks
-// every layer separately:
+// path, so CI's bench-compare gate tracks every layer separately:
 //
-//   * independent  — N tasks with no edges: pure spawn/retire churn. Pooled
-//     TaskNode/closure storage (Config::pool_cache) vs. the malloc/free
-//     baseline (pool_cache = 0).
+//   * independent  — N tasks with no edges: pure spawn/retire churn on the
+//     pooled TaskNode/closure storage.
 //   * chain1       — one long inout chain: every completion releases exactly
-//     one successor, the immediate-chaining case (Config::chain_depth) vs.
-//     the paper-faithful list round trip (chain_depth = 0).
+//     one successor. Its two rows are the ablation pair: immediate chaining
+//     (Config::chain_depth) and the paper-faithful list round trip
+//     (chain_depth = 0).
 //   * fanout       — a producer releasing W readers per round: the batched
 //     release path (one list publication + at most one wakeup per burst).
 //
@@ -25,11 +24,10 @@
 
 namespace {
 
-smpss::Config overhead_config(unsigned chain_depth, unsigned pool_cache) {
+smpss::Config overhead_config(unsigned chain_depth) {
   smpss::Config cfg;
   cfg.num_threads = 4;
   cfg.chain_depth = chain_depth;
-  cfg.pool_cache = pool_cache;
   cfg.task_window = 1u << 16;  // measure the lifecycle, not the throttle
   return cfg;
 }
@@ -50,12 +48,12 @@ void report(benchmark::State& state, std::uint64_t tasks,
       benchmark::Counter(static_cast<double>(s.wakeups_suppressed));
 }
 
-// --- independent: spawn/retire churn, pooling ablation -----------------------
+// --- independent: spawn/retire churn ------------------------------------------
 
 constexpr int kIndependentTasks = 20000;
 
-void independent_bench(benchmark::State& state, unsigned pool_cache) {
-  smpss::Runtime rt(overhead_config(smpss::Config{}.chain_depth, pool_cache));
+void BM_TaskOverhead_Independent_Pooled(benchmark::State& state) {
+  smpss::Runtime rt(overhead_config(smpss::Config{}.chain_depth));
   std::vector<long> lanes(256, 0);
   std::uint64_t tasks = 0;
   for (auto _ : state) {
@@ -67,19 +65,12 @@ void independent_bench(benchmark::State& state, unsigned pool_cache) {
   report(state, tasks, rt);
 }
 
-void BM_TaskOverhead_Independent_Pooled(benchmark::State& state) {
-  independent_bench(state, smpss::Config{}.pool_cache);
-}
-void BM_TaskOverhead_Independent_Malloc(benchmark::State& state) {
-  independent_bench(state, /*pool_cache=*/0);
-}
-
 // --- chain1: immediate-successor chaining ablation ---------------------------
 
 constexpr int kChainLen = 20000;
 
 void chain_bench(benchmark::State& state, unsigned chain_depth) {
-  smpss::Runtime rt(overhead_config(chain_depth, smpss::Config{}.pool_cache));
+  smpss::Runtime rt(overhead_config(chain_depth));
   long x = 0;
   std::uint64_t tasks = 0;
   for (auto _ : state) {
@@ -104,8 +95,7 @@ constexpr int kFanRounds = 200;
 constexpr int kFanWidth = 64;
 
 void BM_TaskOverhead_FanOut(benchmark::State& state) {
-  smpss::Runtime rt(
-      overhead_config(smpss::Config{}.chain_depth, smpss::Config{}.pool_cache));
+  smpss::Runtime rt(overhead_config(smpss::Config{}.chain_depth));
   long src = 0;
   std::vector<long> sinks(kFanWidth, 0);
   std::uint64_t tasks = 0;
@@ -128,7 +118,6 @@ void BM_TaskOverhead_FanOut(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_TaskOverhead_Independent_Pooled)->UseRealTime();
-BENCHMARK(BM_TaskOverhead_Independent_Malloc)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_Chain1_Chained)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_Chain1_ListRoundTrip)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_FanOut)->UseRealTime();

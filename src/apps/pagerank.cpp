@@ -85,20 +85,19 @@ void pagerank_smpss(Runtime& rt, const PageRankTasks& tt, int n, int degree,
       const int s0 = b_lo(sb), s1 = b_hi(sb);
       for (int db = 0; db < nblocks; ++db) {
         const int d0 = b_lo(db), d1 = b_hi(db);
-        const TaskAttrs attrs{"pr_scatter"};
         const auto body = [s0, s1, d0, d1, degree, n](const std::int64_t* src,
                                                       std::int64_t* acc) {
           scatter_block(src, acc, s0, s1, d0, d1, degree, n);
         };
         if (use_commutative) {
-          rt.spawn(attrs, tt.scatter, body,
+          rt.spawn(tt.scatter, body,
                    smpss::in(ranks + s0, static_cast<std::size_t>(s1 - s0)),
                    smpss::commutative(accum + d0,
                                       static_cast<std::size_t>(d1 - d0)));
         } else {
           // Paper-faithful lowering: inout chains the writers of one
           // accumulator in spawn order.
-          rt.spawn(attrs, tt.scatter, body,
+          rt.spawn(tt.scatter, body,
                    smpss::in(ranks + s0, static_cast<std::size_t>(s1 - s0)),
                    smpss::inout(accum + d0,
                                 static_cast<std::size_t>(d1 - d0)));

@@ -22,9 +22,9 @@
 //     refills from it in batches, so the global lock is amortized over
 //     `cache_blocks` allocations;
 //   * a per-block generation counter — bumped every time a block is handed
-//     out, so a recycled TaskNode can be distinguished from its previous
-//     tenant (trace/graph identity additionally rests on the runtime's
-//     monotonic sequence numbers, which never recycle).
+//     out, so an allocator can tell a block's first tenancy from a reuse
+//     (data versions construct their persistent reference cell only once;
+//     see dep/version.cpp).
 //
 // Total footprint is bounded by the peak number of live blocks (the task
 // window bounds live tasks), plus one partially-used slab per pool: blocks

@@ -71,9 +71,9 @@ struct AccessGroup {
   /// group version's producer reference, which outlives every member.
   TaskNode* close = nullptr;
 
-  /// Published-before-initialized guard: the group version
-  /// is CAS-published before `prev`/the init copy are recorded, so joiners
-  /// and closers spin on this flag first.
+  /// Published-before-initialized guard: the group version is CAS-published
+  /// before `prev`/the init copy are recorded and before the opener joins,
+  /// so joiners and closers spin on this flag first.
   std::atomic<bool> ready{false};
 
   // --- join/close serialization --------------------------------------------
@@ -149,7 +149,8 @@ struct AccessGroup {
   // --- lifetime -------------------------------------------------------------
   // Refs: one per live member (Commutative via its token, Concurrent via its
   // reduce fixup), one for the group version (Version::group()), one for the
-  // analyzer's open-group registry.
+  // analyzer's open-group registry, and the creator's, which the opener
+  // drops once it has joined as the first member.
   std::atomic<int> refs{1};
   void add_ref() noexcept { refs.fetch_add(1, std::memory_order_relaxed); }
   void release() noexcept {

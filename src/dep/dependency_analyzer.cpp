@@ -458,11 +458,13 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
     g->init_pending.store(true, std::memory_order_relaxed);
   }
   register_open_group(g);
-  g->ready.store(true, std::memory_order_release);
-  // The opener is the group's first member.
+  // The opener is the group's first member. It joins before the group is
+  // marked ready, so no seal can close the group ahead of it.
   g->mu.lock();
   join_member(st, task, g);
   g->mu.unlock();
+  g->ready.store(true, std::memory_order_release);
+  g->release();  // the creator's reference; members and the version hold it
   return storage;
 }
 

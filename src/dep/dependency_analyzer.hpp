@@ -32,7 +32,7 @@
 // per write; no other thread moves a chain head, so it never retries. The
 // no-renaming ablation runs the same chain but also records reader tasks
 // for its WAR edges in plain per-version vectors, so concurrent submitters
-// serialize it (Runtime::analyze_accesses holds the region rwlock
+// serialize it (Runtime::build_task holds the region rwlock
 // exclusively for it).
 //
 // Counters are striped by submitting thread (no shared hot line) and summed

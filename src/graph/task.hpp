@@ -59,9 +59,8 @@ struct CopyIn {
 class TaskNode;
 
 /// One edge of a predecessor's lock-free successor stack. Allocated from the
-/// arena's edge pool (or new/delete without pooling) by the submitting thread
-/// that discovered the dependence; freed by whichever worker completes the
-/// predecessor and walks the stack.
+/// arena's edge pool by the submitting thread that discovered the dependence;
+/// freed by whichever worker completes the predecessor and walks the stack.
 struct SuccLink {
   TaskNode* succ;
   SuccLink* next;
@@ -74,7 +73,10 @@ class TaskNode {
   /// applications without a heap allocation per task.
   static constexpr std::size_t kInlineClosureBytes = 112;
 
-  TaskNode() = default;
+  /// Constructed in place on a block of `a`'s node pool by the thread whose
+  /// pool slot is `slot` (Runtime::allocate_task).
+  TaskNode(TaskArena& a, std::uint32_t slot) noexcept
+      : submit_slot(slot), arena(&a) {}
   TaskNode(const TaskNode&) = delete;
   TaskNode& operator=(const TaskNode&) = delete;
 
@@ -107,12 +109,12 @@ class TaskNode {
   /// Reserve closure storage of `bytes`/`align`; returns the slot to
   /// placement-new into. Must be followed by set_vtable(). `alloc_slot` is
   /// the submitting thread's pool slot, only consulted when the closure
-  /// overflows the inline buffer and the node belongs to an arena.
+  /// overflows the inline buffer.
   void* allocate_closure(std::size_t bytes, std::size_t align,
-                         unsigned alloc_slot = 0) {
+                         unsigned alloc_slot) {
     if (bytes <= kInlineClosureBytes && align <= alignof(std::max_align_t)) {
       closure_ = inline_buf_;
-    } else if (arena != nullptr && bytes <= TaskArena::kClosureBlockBytes &&
+    } else if (bytes <= TaskArena::kClosureBlockBytes &&
                align <= alignof(std::max_align_t)) {
       closure_ = arena->closures.allocate(alloc_slot);
       closure_pooled_ = true;
@@ -136,17 +138,14 @@ class TaskNode {
   void add_ref() noexcept { refs_.fetch_add(1, std::memory_order_relaxed); }
   void release() noexcept {
     if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      if (TaskArena* a = arena) {
-        // Pooled node: run the destructor in place (returning the closure
-        // block and the parent ref), then hand the memory back to whichever
-        // submitter slot owns it. The pool outlives every node (it is
-        // destroyed after the dependency tables that hold the last task
-        // refs), so `a` stays valid past `this`.
-        this->~TaskNode();
-        a->nodes.deallocate(this);
-      } else {
-        delete this;
-      }
+      // Run the destructor in place (returning the closure block and the
+      // parent ref), then hand the memory back to whichever submitter slot
+      // owns it. The pool outlives every node (it is destroyed after the
+      // dependency tables that hold the last task refs), so `a` stays valid
+      // past `this`.
+      TaskArena* a = arena;
+      this->~TaskNode();
+      a->nodes.deallocate(this);
     }
   }
 
@@ -167,12 +166,7 @@ class TaskNode {
     SuccLink* head = succ_head_.load(std::memory_order_acquire);
     if (head == closed_sentinel()) return false;
     succ->pending_deps.fetch_add(1, std::memory_order_acq_rel);
-    SuccLink* link;
-    if (TaskArena* a = arena) {
-      link = static_cast<SuccLink*>(a->edges.allocate(succ->submit_slot));
-    } else {
-      link = new SuccLink;
-    }
+    auto* link = static_cast<SuccLink*>(arena->edges.allocate(succ->submit_slot));
     link->succ = succ;
     while (true) {
       if (head == closed_sentinel()) {
@@ -312,27 +306,19 @@ class TaskNode {
   /// stream's latency histogram. 0 for non-stream tasks.
   std::uint64_t submit_ns = 0;
 
-  // --- pooled storage (nullptr arena = plain new/delete lifecycle) ----------
+  // --- pooled storage ---------------------------------------------------------
 
-  /// The arena this node's memory (and possibly its closure block) came
-  /// from; set by the runtime immediately after placement-construction.
-  /// Task identity across block reuse rests on `seq` (monotonic, never
-  /// recycled); `generation` additionally distinguishes tenancies of one
-  /// pool block (copied from the block header at allocation).
-  TaskArena* arena = nullptr;
-  std::uint32_t generation = 0;
+  /// The arena this node's memory (and possibly its closure block and its
+  /// edge links) came from. Task identity across block reuse rests on `seq`
+  /// (monotonic, never recycled).
+  TaskArena* const arena;
 
  private:
   static SuccLink* closed_sentinel() noexcept {
     return reinterpret_cast<SuccLink*>(std::uintptr_t{1});
   }
 
-  void free_succ_link(SuccLink* l) noexcept {
-    if (TaskArena* a = arena)
-      a->edges.deallocate(l);
-    else
-      delete l;
-  }
+  void free_succ_link(SuccLink* l) noexcept { arena->edges.deallocate(l); }
 
   std::atomic<std::int32_t> refs_{1};
   /// Lock-free successor stack; closed_sentinel() once completed.

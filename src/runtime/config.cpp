@@ -17,8 +17,6 @@ Config Config::from_env() {
   if (auto v = env_bool("SMPSS_NESTED")) c.nested_tasks = *v;
   if (auto v = env_int("SMPSS_CHAIN_DEPTH"); v && *v >= 0)
     c.chain_depth = static_cast<unsigned>(*v);
-  if (auto v = env_int("SMPSS_POOL_CACHE"); v && *v >= 0)
-    c.pool_cache = static_cast<unsigned>(*v);
   if (auto v = env_string("SMPSS_SCHEDULER")) {
     if (*v == "centralized") c.scheduler_mode = SchedulerMode::Centralized;
     if (*v == "distributed") c.scheduler_mode = SchedulerMode::Distributed;
@@ -42,9 +40,6 @@ void Config::normalize() {
   if (num_threads == 0) num_threads = hardware_concurrency();
   if (num_threads < 1) num_threads = 1;
   if (task_window < 2) task_window = 2;
-  if (task_window_low == 0 || task_window_low >= task_window)
-    task_window_low = task_window / 2;
-  if (spin_acquires == 0) spin_acquires = 1;
   if (max_streams == 0) max_streams = 1;
 }
 

@@ -9,7 +9,6 @@
 //   SMPSS_RENAMING          0/1 — disable/enable renaming
 //   SMPSS_NESTED            0/1 — real nested tasks instead of inlining
 //   SMPSS_CHAIN_DEPTH       max chained executions per acquire (0 = off)
-//   SMPSS_POOL_CACHE        task-pool blocks cached per worker (0 = malloc)
 //   SMPSS_SCHEDULER         distributed | centralized
 //   SMPSS_STEAL_ORDER       creation | random
 //   SMPSS_PIN_THREADS       0/1
@@ -35,9 +34,8 @@ struct Config {
 
   /// Graph-size blocking condition: when the number of live (not yet
   /// completed) tasks reaches this, the main thread behaves as a worker
-  /// until it drops below `task_window_low`.
+  /// until it drops to half of it.
   std::size_t task_window = 8192;
-  std::size_t task_window_low = 0;  ///< 0 means task_window/2
 
   /// Renamed-storage blocking condition, in bytes.
   std::size_t rename_memory_limit = std::size_t(512) << 20;
@@ -63,10 +61,9 @@ struct Config {
   /// chaining off and reproduces the paper's pure list-driven dispatch.
   unsigned chain_depth = 16;
 
-  /// Per-submitter-slot cache size (in blocks) of the pooled TaskNode /
-  /// closure allocator; also its refill batch size. 0 disables pooling and
-  /// puts plain new/delete back on the spawn/retire path (the microbench
-  /// baseline).
+  /// Per-submitter-slot cache size (in blocks) of the pooled TaskNode,
+  /// closure, edge and version allocators; also their refill batch size
+  /// (at least one block).
   unsigned pool_cache = 64;
 
   SchedulerMode scheduler_mode = SchedulerMode::Distributed;
@@ -80,9 +77,6 @@ struct Config {
 
   /// Pin threads round-robin over the allowed CPUs.
   bool pin_threads = false;
-
-  /// Failed acquire passes before a worker blocks on the idle gate.
-  unsigned spin_acquires = 128;
 
   /// Service-mode stream registry capacity. StreamStates are registry-pinned
   /// for the Runtime's life (versions carry their rename accounts past

@@ -73,16 +73,6 @@ struct ReductionParam {
   ReductionOp op;
 };
 
-/// Optional per-spawn attributes, passed as the first spawn argument:
-///
-///     rt.spawn(smpss::TaskAttrs{.name = "potrf"}, body, smpss::inout(blk, n));
-///
-/// Without an explicit TaskType, `name` selects the registered type of that
-/// name (the anonymous type when none matches). Defaults to no name.
-struct TaskAttrs {
-  const char* name = nullptr;  ///< registered type name (nullptr = anonymous)
-};
-
 // --- reduction operator tags -------------------------------------------------
 
 /// Built-in reduction operators for `smpss::reduction(Op{}, ptr, n)`. Each
@@ -373,6 +363,13 @@ struct ParamTraits<OpaqueParam<T>> {
 
 template <typename P>
 concept TaskParam = requires { ParamTraits<std::decay_t<P>>::directional; };
+
+/// True only for the region-qualified wrapper: whether a task touches the
+/// region table is a property of its parameter types.
+template <typename P>
+inline constexpr bool is_region_param = false;
+template <typename T>
+inline constexpr bool is_region_param<RegionParam<T>> = true;
 
 }  // namespace detail
 }  // namespace smpss

@@ -19,15 +19,11 @@ Runtime::Runtime(Config cfg)
         return cfg;
       }()),
       main_thread_id_(std::this_thread::get_id()),
-      arena_(cfg_.pool_cache > 0
-                 ? std::make_unique<TaskArena>(sizeof(TaskNode),
-                                               alignof(TaskNode),
-                                               cfg_.num_threads,
-                                               cfg_.pool_cache)
-                 : nullptr),
+      arena_(sizeof(TaskNode), alignof(TaskNode), cfg_.num_threads,
+             cfg_.pool_cache),
       pool_(cfg_.rename_memory_limit),
       dep_(pool_, cfg_.renaming, &recorder_, cfg_.num_threads,
-           cfg_.pool_cache > 0 ? cfg_.pool_cache : 64),
+           cfg_.pool_cache),
       regions_(&recorder_),
       ready_(cfg_.num_threads, cfg_.scheduler_mode, cfg_.steal_order,
              cfg_.nested_tasks) {
@@ -160,10 +156,6 @@ void* Runtime::route_access(TaskNode* t, const AccessDesc& d,
                 "array accessed both with and without region specifiers");
     return regions_.process(t, d);
   }
-  // `check_region_table` is false only on the concurrent path when the
-  // region table was empty at lock-decision time (the region rwlock is then
-  // not held, so the table must not be read — and an empty table cannot
-  // conflict with this address anyway).
   SMPSS_CHECK(!check_region_table || !regions_.tracks(d.addr),
               "array accessed both with and without region specifiers");
   SMPSS_CHECK(d.bytes > 0, "task parameter with zero size");
@@ -192,36 +184,6 @@ void Runtime::begin_submission(TaskNode* t) {
   recorder_.record_node(t->seq, t->type_id);
 }
 
-void Runtime::analyze_accesses(TaskNode* t, const AccessDesc* descs,
-                               std::size_t n) {
-  // No dependency mutex: per-datum consistency comes from CAS publication on
-  // each chain head (see dep/dependency_analyzer.hpp). Only the region table
-  // keeps its rwlock. Region-mode submissions hold it exclusively, and so
-  // does the no-renaming ablation, whose per-version reader lists need
-  // serialized submissions. Address-mode submissions otherwise take the
-  // shared side for the mixed-mode diagnosis — and skip even that while the
-  // region table has never been touched, so the common address-only case
-  // pays no shared-cache-line RMW here at all.
-  bool any_region = false;
-  for (std::size_t i = 0; i < n; ++i) any_region |= descs[i].has_region;
-  const bool exclusive = any_region || !cfg_.renaming;
-  const bool check_regions = exclusive || regions_.maybe_tracking();
-  if (n != 0 && check_regions) {
-    if (exclusive)
-      region_mu_.lock();
-    else
-      region_mu_.lock_shared();
-  }
-  for (std::size_t i = 0; i < n; ++i)
-    t->resolved.push_back(route_access(t, descs[i], check_regions));
-  if (n != 0 && check_regions) {
-    if (exclusive)
-      region_mu_.unlock();
-    else
-      region_mu_.unlock_shared();
-  }
-}
-
 unsigned Runtime::submitter_tid() const noexcept {
   if (detail::tls.rt == this) return detail::tls.tid;  // one of our workers
   if (on_main_thread()) return 0;
@@ -229,19 +191,7 @@ unsigned Runtime::submitter_tid() const noexcept {
 }
 
 TaskNode* Runtime::allocate_task(unsigned alloc_slot) {
-  TaskNode* t;
-  if (!arena_) {
-    t = new TaskNode();
-  } else {
-    void* mem = arena_->nodes.allocate(alloc_slot);
-    t = ::new (mem) TaskNode();
-    t->arena = arena_.get();
-    t->generation = arena_->nodes.generation_of(mem);
-  }
-  // The submitting thread's pool slot: successor-edge links and data
-  // versions created on this task's behalf allocate from it.
-  t->submit_slot = alloc_slot;
-  return t;
+  return ::new (arena_.nodes.allocate(alloc_slot)) TaskNode(arena_, alloc_slot);
 }
 
 void Runtime::submit(TaskNode* t) {
@@ -258,11 +208,17 @@ void Runtime::submit(TaskNode* t) {
   tasks_live_.fetch_add(1, std::memory_order_relaxed);
 
   // Release the creation guard; a task with no unsatisfied inputs "is moved
-  // into the main ready list or the high priority list" (Sec. III).
+  // into the main ready list or the high priority list" (Sec. III). `t` may
+  // run and retire from here on: read nothing of it below.
+  const bool stream_task = t->stream != nullptr;
   if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
     enqueue_ready(t, submitter_tid(), /*at_creation=*/true);
   }
+  // A stream task's blocking conditions already ran as admission
+  // (stream_admit): the foreign-thread hard gate below must not run a
+  // second, unfair round of backpressure on top.
+  if (stream_task) return;
 
   // Blocking conditions (Sec. III): "Whenever it reaches a blocking
   // condition (a barrier, a memory limit, or a graph size limit), it behaves
@@ -292,8 +248,7 @@ void Runtime::submit(TaskNode* t) {
       if (in_task_context() || cfg_.num_threads < 2) return;
       const auto blocked = [&] {
         const std::size_t live = tasks_live_.load(std::memory_order_acquire);
-        return live > cfg_.task_window_low ||
-               (pool_.over_limit() && live > 0);
+        return live > window_low() || (pool_.over_limit() && live > 0);
       };
       if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window ||
           pool_.over_limit()) {
@@ -310,8 +265,7 @@ void Runtime::submit(TaskNode* t) {
         pool_.over_limit()) {
       nested_throttled_.fetch_add(1, std::memory_order_relaxed);
       detail::tls.in_throttle = true;
-      while (tasks_live_.load(std::memory_order_acquire) >
-                 cfg_.task_window_low ||
+      while (tasks_live_.load(std::memory_order_acquire) > window_low() ||
              pool_.over_limit()) {
         TaskNode* t = acquire(tid);
         if (!t) break;
@@ -323,7 +277,7 @@ void Runtime::submit(TaskNode* t) {
   }
   if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window) {
     ++blocked_window_;
-    while (tasks_live_.load(std::memory_order_acquire) > cfg_.task_window_low)
+    while (tasks_live_.load(std::memory_order_acquire) > window_low())
       help_once();
   }
   if (pool_.over_limit()) {
@@ -371,6 +325,10 @@ TaskNode* Runtime::acquire(unsigned tid) {
       // the park.
       if (ConflictToken* blocked = try_acquire_conflicts(t)) {
         ++ws.counters.conflict_deferrals;
+        // Once parked, `t` may be woken, run and retire — dropping the
+        // group reference that keeps the token alive — before the recheck.
+        AccessGroup* g = blocked->group;
+        g->add_ref();
         blocked->park(t);
         if (blocked->free_now()) {
           TaskNode* w = blocked->take_waiters();
@@ -381,6 +339,7 @@ TaskNode* Runtime::acquire(unsigned tid) {
             w = next;
           }
         }
+        g->release();
         continue;
       }
     }
@@ -398,6 +357,39 @@ TaskNode* Runtime::acquire(unsigned tid) {
 }
 
 bool Runtime::in_task_context() noexcept { return detail::tls.in_task_body; }
+
+template <typename OnReady>
+void Runtime::release_successors(TaskNode* t, unsigned tid,
+                                 OnReady&& on_ready) {
+  // Publish produced versions before releasing successors.
+  for (Version* v : t->produces) v->mark_produced();
+  for (TaskNode* s : t->take_successors_and_complete()) {
+    if (s->pending_deps.fetch_sub(1, std::memory_order_acq_rel) != 1)
+      continue;
+    if (s->is_group_close) {
+      // The last member of a sealed group finished — or, for stacked groups
+      // (a lost publication race stacked two groups on one datum), the
+      // inner close was the outer close's last dependency: retire the close
+      // inline (it has no body — combine/copy/mark-produced only).
+      retire_close(s, tid);
+    } else {
+      on_ready(s);
+    }
+  }
+}
+
+void Runtime::release_data(TaskNode* t) {
+  for (Version* v : t->reads) v->reader_finished(pool_);
+  for (std::atomic<int>* slot : t->user_pending_slots) {
+    // acq_rel (not plain release): wait_on's quiescence probe pairs with
+    // this decrement, and the count must never be observed below zero —
+    // each slot entry here is backed by exactly one increment at submission.
+    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
+    SMPSS_ASSERT(prev > 0);
+    (void)prev;
+  }
+  for (Version* v : t->produces) v->release(pool_);
+}
 
 void Runtime::execute_task(TaskNode* t, unsigned tid) {
   // The chain loop: run the acquired task, then keep running the single
@@ -480,22 +472,8 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
   }
   for (const TaskNode::ReduceFixup& f : t->reduce_fixups) f.group->release();
 
-  // Publish produced versions before releasing successors.
-  for (Version* v : t->produces) v->mark_produced();
-
-  auto successors = t->take_successors_and_complete();
   SmallVector<TaskNode*, 8> released;
-  for (TaskNode* s : successors) {
-    if (s->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      if (s->is_group_close) {
-        // The last member of a sealed group finished: retire the close node
-        // inline (it has no body — combine/copy/mark-produced only).
-        retire_close(s, tid);
-      } else {
-        released.push_back(s);
-      }
-    }
-  }
+  release_successors(t, tid, [&](TaskNode* s) { released.push_back(s); });
 
   TaskNode* chain = nullptr;
   if (released.size() == 1) {
@@ -533,19 +511,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
     ++ws.counters.batched_releases;
   }
 
-  // Retire data tokens: reader marks first (so WAR decisions see the truth),
-  // then user-storage quiescence, then lifetime refs.
-  for (Version* v : t->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : t->user_pending_slots) {
-    // acq_rel (not plain release): wait_on's quiescence probe pairs with
-    // this decrement, and the count must never be observed below zero —
-    // each slot entry here is backed by exactly one increment at submission.
-    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
-    SMPSS_ASSERT(prev > 0);
-    (void)prev;
-  }
-  for (Version* v : t->produces) v->release(pool_);
-
+  release_data(t);
   ++ws.counters.executed;
 
   // Notify the parent after the data tokens retire, so a taskwait()-ing
@@ -565,7 +531,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
   // to finish before seeing the window drain.
   const std::size_t live_before =
       tasks_live_.fetch_sub(1, std::memory_order_acq_rel);
-  if (live_before == 1 || live_before == cfg_.task_window_low + 1) {
+  if (live_before == 1 || live_before == window_low() + 1) {
     gate_.notify_all();
   }
   // Service hook: fulfill the future (callback runs here) and credit the
@@ -585,8 +551,8 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
 void Runtime::retire_close(TaskNode* close, unsigned tid) {
   // A close node is not a task: it was never spawned (no live count, no
   // ready-list placement, no parent, no stream), has no body, and holds no
-  // tokens. Its retire is the data half of execute_one's epilogue — plus
-  // the group-specific finalization.
+  // tokens. Its retire is the data half of execute_one's — plus the
+  // group-specific finalization.
   //
   // Unclaimed inherit copies first: a Commutative group whose members all
   // finished ran maybe_init_copy() under the token, but a group sealed with
@@ -605,30 +571,13 @@ void Runtime::retire_close(TaskNode* close, unsigned tid) {
       g->combine_privates(gv->storage());
   }
 
-  for (Version* v : close->produces) v->mark_produced();
-
-  auto successors = close->take_successors_and_complete();
-  for (TaskNode* s : successors) {
-    if (s->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      if (s->is_group_close) {
-        // Stacked groups (a lost publication race stacked two groups on one
-        // datum): the outer close may be the inner close's last dependency.
-        retire_close(s, tid);
-      } else {
-        // Foreign threads must use the creation path: the released paths
-        // index per-worker structures a foreign tid does not own.
-        enqueue_ready(s, tid, /*at_creation=*/tid == kForeignTid);
-      }
-    }
-  }
-
-  for (Version* v : close->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : close->user_pending_slots) {
-    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
-    SMPSS_ASSERT(prev > 0);
-    (void)prev;
-  }
-  for (Version* v : close->produces) v->release(pool_);
+  // Released successors are enqueued here, never chained. Foreign threads
+  // must use the creation path: the released paths index per-worker
+  // structures a foreign tid does not own.
+  release_successors(close, tid, [&](TaskNode* s) {
+    enqueue_ready(s, tid, /*at_creation=*/tid == kForeignTid);
+  });
+  release_data(close);
   close->release();
 }
 
@@ -840,13 +789,11 @@ StatsSnapshot Runtime::stats() const {
     s.groups_closed = dc.groups_closed;
     s.commute_edges = dc.commute_edges;
 
-    if (arena_) {
-      const PoolStats n = arena_->nodes.stats();
-      const PoolStats c = arena_->closures.stats();
-      s.pool_hits = n.hits + c.hits;
-      s.pool_refills = n.refills + c.refills;
-      s.pool_slabs = n.slabs + c.slabs;
-    }
+    const PoolStats n = arena_.nodes.stats();
+    const PoolStats c = arena_.closures.stats();
+    s.pool_hits = n.hits + c.hits;
+    s.pool_refills = n.refills + c.refills;
+    s.pool_slabs = n.slabs + c.slabs;
 
     {
       std::lock_guard<std::mutex> lk(streams_mu_);

@@ -110,22 +110,6 @@ class Runtime {
   /// same order.
   template <typename F, detail::TaskParam... Ps>
   void spawn(TaskType type, F&& fn, Ps&&... ps) {
-    spawn(TaskAttrs{}, type, std::forward<F>(fn), std::forward<Ps>(ps)...);
-  }
-
-  /// Spawn with the default (anonymous) task type.
-  template <typename F, detail::TaskParam... Ps>
-    requires(!std::is_same_v<std::decay_t<F>, TaskType> &&
-             !std::is_same_v<std::decay_t<F>, TaskAttrs>)
-  void spawn(F&& fn, Ps&&... ps) {
-    spawn(TaskAttrs{}, TaskType{0}, std::forward<F>(fn),
-          std::forward<Ps>(ps)...);
-  }
-
-  /// Spawn with attributes and an explicit type. `attrs.name` selects a
-  /// type only in the no-TaskType overload below; here `type` wins.
-  template <typename F, detail::TaskParam... Ps>
-  void spawn(TaskAttrs /*attrs*/, TaskType type, F&& fn, Ps&&... ps) {
     if (!cfg_.nested_tasks && (!on_main_thread() || in_task_context())) {
       // Sec. VII.D: a task call inside a task is a normal function call.
       // The check covers worker threads AND the main thread while it is
@@ -134,50 +118,16 @@ class Runtime {
       inlined_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
-    // Pool slot of the submitting thread; kForeignTid (>= num_threads)
-    // routes foreign submitters to the pool's internal lock-guarded slot.
-    const unsigned alloc_slot = submitter_tid();
-    TaskNode* t = allocate_task(alloc_slot);
-    t->type_id = type.id;
-    t->high_priority = types_[type.id].high_priority;
-
-    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
-    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
-    C* closure = ::new (mem)
-        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
-                                   std::forward<Ps>(ps)...)};
-    t->set_vtable(&C::vtable);
-
-    // Parent hookup, atomic sequence number, node record.
-    begin_submission(t);
-    if (!cfg_.nested_tasks) {
-      // Zero-lock single-submitter fast path: analyze straight into the
-      // tracking tables in parameter order.
-      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-        (analyze_param<Is>(closure, t), ...);
-      }(std::index_sequence_for<Ps...>{});
-    } else {
-      // Concurrent submitters: collect the footprint first, then run the
-      // analysis under whatever region-table lock it needs.
-      SmallVector<AccessDesc, 6> descs;
-      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-        (collect_param<Is>(closure, descs), ...);
-      }(std::index_sequence_for<Ps...>{});
-      analyze_accesses(t, descs.begin(), descs.size());
-    }
-
-    submit(t);
+    build_task(type, nullptr, nullptr, std::forward<F>(fn),
+               std::forward<Ps>(ps)...);
   }
 
-  /// Spawn with hints but no explicit TaskType: `attrs.name`, when set,
-  /// selects the registered type of that name (anonymous type otherwise).
+  /// Spawn with the default (anonymous) task type. To select a registered
+  /// type by name, pass find_task_type(name) to the overload above.
   template <typename F, detail::TaskParam... Ps>
     requires(!std::is_same_v<std::decay_t<F>, TaskType>)
-  void spawn(TaskAttrs attrs, F&& fn, Ps&&... ps) {
-    const TaskType type =
-        attrs.name != nullptr ? find_task_type(attrs.name) : TaskType{0};
-    spawn(attrs, type, std::forward<F>(fn), std::forward<Ps>(ps)...);
+  void spawn(F&& fn, Ps&&... ps) {
+    spawn(TaskType{0}, std::forward<F>(fn), std::forward<Ps>(ps)...);
   }
 
   /// Look up a registered task type by name; TaskType{0} (the anonymous
@@ -273,42 +223,92 @@ class Runtime {
     Xoshiro256 rng;
   };
 
-  template <std::size_t I, typename C>
-  void analyze_param(C* closure, TaskNode* t) {
-    using P = std::tuple_element_t<I, decltype(closure->params)>;
-    if constexpr (detail::ParamTraits<P>::directional) {
-      AccessDesc d = detail::ParamTraits<P>::desc(std::get<I>(closure->params));
-      t->resolved.push_back(route_access(t, d));
+  /// The one task builder behind spawn() and the stream submissions: node,
+  /// closure, the stream/future fields (null for a plain spawn), parent
+  /// hookup and sequence number, the dependency analysis of every parameter
+  /// in order, then submit().
+  template <typename F, typename... Ps>
+  void build_task(TaskType type, StreamState* stream, FutureState* future,
+                  F&& fn, Ps&&... ps) {
+    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
+    // Pool slot of the submitting thread; kForeignTid (>= num_threads)
+    // routes foreign submitters to the pool's internal lock-guarded slot.
+    const unsigned alloc_slot = submitter_tid();
+    TaskNode* t = allocate_task(alloc_slot);
+    t->type_id = type.id;
+    t->high_priority = types_[type.id].high_priority;
+    if (stream != nullptr) {
+      t->stream = stream;
+      t->account = &stream->account;
+      t->submit_ns = now_ns();
+      t->future = future;
     }
+
+    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
+    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
+    C* closure = ::new (mem)
+        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
+                                   std::forward<Ps>(ps)...)};
+    t->set_vtable(&C::vtable);
+
+    begin_submission(t);
+    if constexpr (detail::directional_count<std::decay_t<Ps>...>() > 0) {
+      // No dependency mutex: per-datum consistency comes from CAS
+      // publication on each chain head (see dep/dependency_analyzer.hpp).
+      // The single submitter takes no lock at all. Concurrent submitters
+      // take the region rwlock exclusively for a region-qualified task and
+      // for the no-renaming ablation (its per-version reader lists need
+      // serialized submissions), shared while an address-only task may meet
+      // a tracked region (the mixed-mode diagnosis), and not otherwise.
+      constexpr bool kRegion =
+          (detail::is_region_param<std::decay_t<Ps>> || ...);
+      const bool exclusive = kRegion || !cfg_.renaming;
+      const bool check_regions = exclusive || regions_.maybe_tracking();
+      std::unique_lock<std::shared_mutex> excl_lk(region_mu_, std::defer_lock);
+      std::shared_lock<std::shared_mutex> shared_lk(region_mu_,
+                                                    std::defer_lock);
+      if (cfg_.nested_tasks && check_regions) {
+        if (exclusive)
+          excl_lk.lock();
+        else
+          shared_lk.lock();
+      }
+      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
+        (analyze_param<Is>(closure, t, check_regions), ...);
+      }(std::index_sequence_for<Ps...>{});
+    }
+    submit(t);
   }
 
   template <std::size_t I, typename C>
-  void collect_param(C* closure, SmallVector<AccessDesc, 6>& out) {
+  void analyze_param(C* closure, TaskNode* t, bool check_regions) {
     using P = std::tuple_element_t<I, decltype(closure->params)>;
-    if constexpr (detail::ParamTraits<P>::directional)
-      out.push_back(detail::ParamTraits<P>::desc(std::get<I>(closure->params)));
+    if constexpr (detail::ParamTraits<P>::directional) {
+      AccessDesc d = detail::ParamTraits<P>::desc(std::get<I>(closure->params));
+      t->resolved.push_back(route_access(t, d, check_regions));
+    }
   }
 
   /// Dispatch one access to the address-mode or region-mode analyzer,
   /// diagnosing mixed-mode use of one array. `check_region_table` is false
-  /// only when the concurrent path decided the region table was empty and
-  /// therefore did not take the region rwlock (see analyze_accesses).
+  /// only for a renaming address-only task while no region is tracked: the
+  /// region table is then empty (and, for concurrent submitters, not
+  /// locked), so it must not be read and cannot conflict anyway.
   void* route_access(TaskNode* t, const AccessDesc& d,
-                     bool check_region_table = true);
-
-  /// Concurrent-submitter analysis: run every per-datum analysis straight
-  /// in (CAS chain publication). Only the region rwlock is taken —
-  /// exclusively for region-mode tasks and for the no-renaming ablation,
-  /// shared for address-only tasks while region tracking is live.
-  void analyze_accesses(TaskNode* t, const AccessDesc* descs, std::size_t n);
+                     bool check_region_table);
 
   /// Hook up the parent link, assign the (atomic) sequence number, record
   /// the graph node.
   void begin_submission(TaskNode* t);
 
   /// Account the new task, release its creation guard, then apply the
-  /// Sec. III blocking conditions (task window, rename-memory limit).
+  /// Sec. III blocking conditions (task window, rename-memory limit). A
+  /// stream task skips them: stream_admit already applied them.
   void submit(TaskNode* t);
+
+  /// The task-window low-water mark: a blocked submitter resumes once the
+  /// live count has drained to it.
+  std::size_t window_low() const noexcept { return cfg_.task_window / 2; }
 
   /// Ready-list index the calling thread owns in this runtime, or kForeignTid
   /// for threads this runtime does not know (their pushes go to the shared
@@ -316,8 +316,7 @@ class Runtime {
   static constexpr unsigned kForeignTid = ~0u;
   unsigned submitter_tid() const noexcept;
 
-  /// Construct a TaskNode — placement-new on a pooled block (steady state:
-  /// no malloc) or plain new when pooling is disabled.
+  /// Construct a TaskNode on a pooled block (steady state: no malloc).
   TaskNode* allocate_task(unsigned alloc_slot);
 
   void enqueue_ready(TaskNode* t, unsigned tid, bool at_creation);
@@ -334,6 +333,18 @@ class Runtime {
   /// high-priority task preempts it), or nullptr to return to the lists.
   TaskNode* execute_one(TaskNode* t, unsigned tid, bool arrived_by_chain,
                         bool allow_chain);
+
+  // --- the data half of every retire (execute_one and retire_close) ---------
+
+  /// Mark `t`'s produced versions, close its successor stack, and hand each
+  /// successor this completion released to `on_ready` — except close nodes,
+  /// which retire right here (retire_close, recursively).
+  template <typename OnReady>
+  void release_successors(TaskNode* t, unsigned tid, OnReady&& on_ready);
+
+  /// Release `t`'s data tokens: reader marks first (so WAR decisions see the
+  /// truth), then user-storage quiescence, then the produced versions.
+  void release_data(TaskNode* t);
 
   /// Run one task on the main thread, or briefly sleep if none is ready.
   void help_once();
@@ -361,10 +372,6 @@ class Runtime {
   /// Increments s.submitted and s.live.
   void stream_admit(StreamState& s);
 
-  /// Post-analysis accounting + creation-guard release for a stream task
-  /// (the Sec. III blocking conditions already ran as admission).
-  void submit_stream_task(TaskNode* t);
-
   /// Retire-side service hook: fulfill the future (callback runs here,
   /// before the stream's live count drops), record latency, credit the
   /// stream, wake drainers.
@@ -381,51 +388,20 @@ class Runtime {
   template <typename F, detail::TaskParam... Ps>
   TaskFuture spawn_stream(StreamState& s, bool want_future, TaskType type,
                           F&& fn, Ps&&... ps) {
-    SMPSS_CHECK(type.id < types_.size(), "unregistered task type");
     stream_admit(s);
-
-    const unsigned alloc_slot = submitter_tid();
-    TaskNode* t = allocate_task(alloc_slot);
-    t->type_id = type.id;
-    t->high_priority = types_[type.id].high_priority;
-    t->stream = &s;
-    t->account = &s.account;
-    t->submit_ns = now_ns();
-
-    using C = detail::Closure<std::decay_t<F>, std::decay_t<Ps>...>;
-    void* mem = t->allocate_closure(sizeof(C), alignof(C), alloc_slot);
-    C* closure = ::new (mem)
-        C{std::forward<F>(fn), std::tuple<std::decay_t<Ps>...>(
-                                   std::forward<Ps>(ps)...)};
-    t->set_vtable(&C::vtable);
-
-    TaskFuture fut;
-    if (want_future) {
-      auto* f = new FutureState(this);
-      t->future = f;         // task-side ref, dropped after fulfill()
-      fut = TaskFuture(f);   // handle-side ref (FutureState starts at 2)
-    }
-
-    // Streams are concurrent submitters by definition: always the collected
-    // footprint path (open_stream requires Config::nested_tasks).
-    begin_submission(t);
-    SmallVector<AccessDesc, 6> descs;
-    [&]<std::size_t... Is>(std::index_sequence<Is...>) {
-      (collect_param<Is>(closure, descs), ...);
-    }(std::index_sequence_for<Ps...>{});
-    analyze_accesses(t, descs.begin(), descs.size());
-
-    submit_stream_task(t);
-    return fut;
+    // A FutureState starts with two refs: the task's, dropped after
+    // fulfill(), and the returned handle's.
+    FutureState* f = want_future ? new FutureState(this) : nullptr;
+    build_task(type, &s, f, std::forward<F>(fn), std::forward<Ps>(ps)...);
+    return TaskFuture(f);
   }
 
   Config cfg_;
   std::thread::id main_thread_id_;
-  /// Pooled TaskNode/closure storage. Declared before (so destroyed after)
-  /// the analyzers and the rename pool: their destructors release the last
-  /// version-held task references, which recycle nodes into this arena.
-  /// Null when Config::pool_cache == 0 (plain new/delete lifecycle).
-  std::unique_ptr<TaskArena> arena_;
+  /// Pooled TaskNode/closure/edge storage. Declared before (so destroyed
+  /// after) the analyzers and the rename pool: their destructors release the
+  /// last version-held task references, which recycle nodes into this arena.
+  TaskArena arena_;
   RenamePool pool_;
   GraphRecorder recorder_;
   DependencyAnalyzer dep_;

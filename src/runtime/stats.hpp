@@ -147,7 +147,7 @@ struct StatsSnapshot {
   std::uint64_t batched_releases = 0;
   std::uint64_t wakeups_suppressed = 0;
 
-  // pooled task/closure allocator (zero everywhere when pool_cache == 0)
+  // pooled task/closure allocator
   std::uint64_t pool_hits = 0;     ///< node+closure allocs served from lists
   std::uint64_t pool_refills = 0;  ///< batched trips to the overflow list
   std::uint64_t pool_slabs = 0;    ///< slab mallocs (the only real allocs)

@@ -4,7 +4,6 @@
 // sched/admission.hpp for the fairness policy.
 #include "runtime/stream.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/timing.hpp"
@@ -78,22 +77,6 @@ void Runtime::stream_admit(StreamState& s) {
     });
   }
   s.live.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Runtime::submit_stream_task(TaskNode* t) {
-  // The stream counterpart of submit(): accounting plus the creation-guard
-  // release only — the Sec. III blocking conditions already ran as
-  // admission (stream_admit), so the foreign-thread hard gate must not run
-  // a second, unfair round of backpressure on top.
-  if (dep_.has_pending_closes()) drain_group_closes();
-  if (t->conflicts.size() > 1)
-    std::sort(t->conflicts.begin(), t->conflicts.begin() + t->conflicts.size());
-  spawned_.fetch_add(1, std::memory_order_relaxed);
-  tasks_live_.fetch_add(1, std::memory_order_relaxed);
-  if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
-    enqueue_ready(t, submitter_tid(), /*at_creation=*/true);
-  }
 }
 
 void Runtime::retire_service(TaskNode* t) {

@@ -8,6 +8,11 @@
 
 namespace smpss {
 
+namespace {
+/// Failed acquire passes before a worker blocks on the idle gate.
+constexpr unsigned kSpinAcquires = 128;
+}  // namespace
+
 void worker_main(Runtime& rt, unsigned tid) {
   if (rt.cfg_.pin_threads) pin_current_thread(tid);
   // Register this thread with its runtime: nested spawns and taskwait()
@@ -30,7 +35,7 @@ void worker_main(Runtime& rt, unsigned tid) {
       backoff.reset();
       continue;
     }
-    if (++failures < rt.cfg_.spin_acquires) {
+    if (++failures < kSpinAcquires) {
       // Exponential backoff between probe passes: dozens of idle workers
       // hammering the shared lists in lock-step would otherwise starve the
       // main thread's task generation (its pushes fight their pops for the

@@ -48,7 +48,8 @@ struct ConflictToken {
   /// Park a conflicted task. After parking, the caller MUST re-check
   /// `held == 0` and, if so, take_waiters() and re-enqueue them — the holder
   /// may have released between the failed acquire and the push, in which
-  /// case nobody else will ever drain the stack.
+  /// case nobody else will ever drain the stack. The caller holds its own
+  /// group reference across both: the parked task's may be gone by then.
   void park(TaskNode* t) noexcept {
     TaskNode* head = waiters.load(std::memory_order_relaxed);
     do {

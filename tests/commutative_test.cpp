@@ -8,10 +8,12 @@
 // private shows up as a wrong number, not a flake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "apps/pagerank.hpp"
@@ -271,6 +273,46 @@ TEST(Commutative, GroupStatsAccounting) {
   EXPECT_EQ(s.group_joins, 100u);
   EXPECT_EQ(s.commute_edges, 100u);  // one member edge per join
 }
+
+// Regression: every group kept one reference nobody dropped, so the group —
+// and with it the renamed storage of the version it superseded — outlived
+// the barrier and counted against the rename-memory limit. One thread, so
+// the `out` between two pending readers always renames.
+class GroupRelease
+    : public ::testing::TestWithParam<std::tuple<Dir, bool>> {};
+
+TEST_P(GroupRelease, BarrierReturnsRenamedStorage) {
+  const auto [mode, nested] = GetParam();
+  Config c = threads(1);
+  c.nested_tasks = nested;
+  Runtime rt(c);
+  constexpr std::size_t kN = 512;  // 4 KiB datum
+  std::vector<std::int64_t> buf(kN, 0);
+  std::int64_t sink = 0;
+  const auto read = [](const std::int64_t* p, std::int64_t* s) { *s += *p; };
+  const auto bump = [](std::int64_t* p) { p[1] += 1; };
+  for (int round = 1; round <= 10; ++round) {
+    rt.spawn(read, in(buf.data(), kN), inout(&sink));
+    rt.spawn([round](std::int64_t* p) { std::fill(p, p + kN, round); },
+             out(buf.data(), kN));
+    rt.spawn(read, in(buf.data(), kN), inout(&sink));
+    for (int k = 0; k < 3; ++k) {
+      if (mode == Dir::Commutative)
+        rt.spawn(bump, commutative(buf.data(), kN));
+      else
+        rt.spawn(bump, reduction(Plus{}, buf.data(), kN));
+    }
+    rt.barrier();
+    EXPECT_EQ(rt.rename_pool().current_bytes(), 0u) << "round " << round;
+    EXPECT_EQ(buf[0], round);
+    EXPECT_EQ(buf[1], round + 3);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ModesAndNesting, GroupRelease,
+    ::testing::Combine(::testing::Values(Dir::Commutative, Dir::Concurrent),
+                       ::testing::Bool()));
 
 TEST(Commutative, InoutLoweringOpensNoGroups) {
   Runtime rt(threads(4));

@@ -55,7 +55,7 @@ const Variant kSweep[] = {
     {"renaming_off", [](RunOptions& o) { o.cfg.renaming = false; }},
     {"chain0", [](RunOptions& o) { o.cfg.chain_depth = 0; }},
     {"chain1", [](RunOptions& o) { o.cfg.chain_depth = 1; }},
-    {"pool_off", [](RunOptions& o) { o.cfg.pool_cache = 0; }},
+    {"pool2", [](RunOptions& o) { o.cfg.pool_cache = 2; }},
     {"window16", [](RunOptions& o) { o.cfg.task_window = 16; }},
     {"centralized",
      [](RunOptions& o) { o.cfg.scheduler_mode = SchedulerMode::Centralized; }},
@@ -366,7 +366,7 @@ RunOptions random_options(Xoshiro256& rng, const PatternSpec& spec) {
   o.cfg.num_threads = 1 + static_cast<unsigned>(rng.next_below(4));
   o.cfg.renaming = rng.next_below(2) == 0;
   o.cfg.chain_depth = std::array<unsigned, 3>{0, 1, 16}[rng.next_below(3)];
-  o.cfg.pool_cache = rng.next_below(2) ? 64u : 0u;
+  o.cfg.pool_cache = rng.next_below(2) ? 64u : 2u;
   o.cfg.task_window = std::array<std::size_t, 3>{4, 16, 8192}[rng.next_below(3)];
   o.cfg.nested_tasks = rng.next_below(2) == 0;
   if (o.cfg.nested_tasks && rng.next_below(2) == 0) {

@@ -127,21 +127,5 @@ TEST(PoolLifecycle, LargeClosuresRideThePoolOrHeapCorrectly) {
   EXPECT_EQ(sum512, expect);
 }
 
-TEST(PoolLifecycle, PoolDisabledReproducesPlainLifecycle) {
-  Config cfg;
-  cfg.num_threads = 2;
-  cfg.pool_cache = 0;  // paper-faithful malloc/free per task
-  Runtime rt(cfg);
-  long x = 0;
-  for (int i = 0; i < 2000; ++i) rt.spawn([](long* p) { *p += 1; }, inout(&x));
-  rt.barrier();
-  EXPECT_EQ(x, 2000);
-  auto s = rt.stats();
-  EXPECT_EQ(s.tasks_executed, 2000u);
-  EXPECT_EQ(s.pool_hits, 0u);
-  EXPECT_EQ(s.pool_refills, 0u);
-  EXPECT_EQ(s.pool_slabs, 0u);
-}
-
 }  // namespace
 }  // namespace smpss

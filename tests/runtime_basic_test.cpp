@@ -228,11 +228,8 @@ TEST(RuntimeConfig, EnvOverrides) {
 TEST(RuntimeConfig, NormalizeDerivesFields) {
   Config c;
   c.num_threads = 0;
-  c.task_window = 100;
-  c.task_window_low = 0;
   c.normalize();
   EXPECT_GE(c.num_threads, 1u);
-  EXPECT_EQ(c.task_window_low, 50u);
 }
 
 }  // namespace

@@ -207,40 +207,27 @@ TEST(SpawnApi, ReductionWrapperWithValueParam) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(SpawnApi, TaskAttrsName) {
-  Runtime rt(two_threads());
+TEST(SpawnApi, TaskTypeByName) {
+  Config c = two_threads();
+  c.record_graph = true;
+  Runtime rt(c);
   TaskType heavy = rt.register_task_type("heavy_kernel");
   EXPECT_EQ(rt.find_task_type("heavy_kernel").id, heavy.id);
   EXPECT_EQ(rt.find_task_type("no_such_type").id, 0u);  // fallback
 
   int x = 0, y = 0;
-  // Explicit type next to attrs.
-  rt.spawn(TaskAttrs{}, heavy, [](int* p) { *p = 1; }, out(&x));
-  // Type resolved by name through the attrs.
-  rt.spawn(TaskAttrs{"heavy_kernel"}, [](int* p) { *p = 2; }, out(&y));
+  rt.spawn(rt.find_task_type("heavy_kernel"), [](int* p) { *p = 1; }, out(&x));
+  rt.spawn(rt.find_task_type("no_such_type"), [](int* p) { *p = 2; }, out(&y));
   rt.barrier();
   EXPECT_EQ(x, 1);
   EXPECT_EQ(y, 2);
-}
-
-// The pre-TaskAttrs positional overloads are compatibility shims over the
-// attrs funnel: the same program through both spellings must be bit-exact.
-TEST(SpawnApi, PositionalShimBitExactVsTypedAttrs) {
-  const auto run = [](bool with_attrs) {
-    Runtime rt(two_threads());
-    TaskType step = rt.register_task_type("shim_step");
-    std::int64_t acc = 1;
-    for (int i = 1; i <= 12; ++i) {
-      const auto body = [i](std::int64_t* p) { *p = *p * 31 + i; };
-      if (with_attrs)
-        rt.spawn(TaskAttrs{"shim_step"}, body, inout(&acc));
-      else
-        rt.spawn(step, body, inout(&acc));
-    }
-    rt.barrier();
-    return acc;
-  };
-  EXPECT_EQ(run(false), run(true));
+  // The recorded nodes carry the type the name selected.
+  const auto& nodes = rt.graph_recorder().nodes();
+  ASSERT_EQ(nodes.size(), 2u);
+  EXPECT_EQ(nodes[0].seq, 1u);
+  EXPECT_EQ(nodes[0].type_id, heavy.id);
+  EXPECT_EQ(nodes[1].seq, 2u);
+  EXPECT_EQ(nodes[1].type_id, 0u);
 }
 
 TEST(SpawnApiDeath, NullPointerParameterAborts) {

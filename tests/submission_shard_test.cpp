@@ -3,7 +3,9 @@
 // the constructing thread, and stats() racing submitters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -92,21 +94,40 @@ TEST(ForeignSubmitter, WindowThrottlesForeignThread) {
   Config cfg;
   cfg.num_threads = 2;
   cfg.task_window = 16;
-  cfg.task_window_low = 8;
   cfg.nested_tasks = true;  // foreign threads submit real tasks
   Runtime rt(cfg);
+  // Rendezvous instead of timing: the worker holds in the chain's first
+  // body until the main thread has seen the foreign submitter throttled.
+  // While it holds nothing retires, so the window fills; a worker draining
+  // the chain as fast as it is spawned would otherwise keep it from filling.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> throttle_seen{false};
+  const auto rendezvous = [&] {
+    while (!throttle_seen.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
   constexpr int kTasks = 3000;
   long x = 0;
   std::atomic<bool> done{false};
   std::thread foreign([&] {
     for (int i = 0; i < kTasks; ++i)
-      rt.spawn([](long* p) { *p += 1; }, inout(&x));
+      rt.spawn(
+          [&rendezvous](long* p) {
+            rendezvous();
+            *p += 1;
+          },
+          inout(&x));
     done.store(true, std::memory_order_release);
   });
   // Sample the live-task high-water mark while the foreign thread submits.
   std::size_t max_live = 0;
   while (!done.load(std::memory_order_acquire)) {
     max_live = std::max(max_live, rt.live_tasks());
+    if (!throttle_seen.load(std::memory_order_relaxed) &&
+        rt.stats().foreign_throttled >= 1)
+      throttle_seen.store(true, std::memory_order_release);
     std::this_thread::yield();
   }
   foreign.join();
@@ -125,7 +146,6 @@ TEST(ForeignSubmitter, SingleThreadRuntimeNeverGatesForeignSubmitter) {
   Config cfg;
   cfg.num_threads = 1;
   cfg.task_window = 8;
-  cfg.task_window_low = 4;
   cfg.nested_tasks = true;
   Runtime rt(cfg);
   long x = 0;
@@ -218,7 +238,6 @@ TEST(OffMainDestruction, NestedGeneratorsUnderTinyWindowSingleThread) {
     c.num_threads = 1;
     c.nested_tasks = true;
     c.task_window = 4;
-    c.task_window_low = 2;
     return c;
   }());
   std::atomic<long> count{0};

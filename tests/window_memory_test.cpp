@@ -3,6 +3,9 @@
 // changing program results.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -14,18 +17,38 @@ TEST(TaskWindow, MainThreadExecutesWhenWindowFull) {
   Config cfg;
   cfg.num_threads = 2;
   cfg.task_window = 8;
-  cfg.task_window_low = 4;
   Runtime rt(cfg);
+  // Rendezvous instead of timing: the worker holds in its first body until
+  // the main thread has run a body itself, which it only does once the
+  // window blocked it. A worker draining the empty bodies as fast as they
+  // are spawned would otherwise keep the window from ever filling.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> main_ran{false};
+  const auto rendezvous = [&] {
+    if (rt.on_main_thread()) {  // the blocked submitter: never hold
+      main_ran.store(true, std::memory_order_release);
+      return;
+    }
+    while (!main_ran.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
   constexpr int kN = 500;
   std::vector<int> xs(kN, 0);
   for (int i = 0; i < kN; ++i)
-    rt.spawn([](int* p) { *p = 1; }, out(&xs[i]));
+    rt.spawn(
+        [&rendezvous](int* p) {
+          rendezvous();
+          *p = 1;
+        },
+        out(&xs[i]));
   rt.barrier();
   for (int v : xs) EXPECT_EQ(v, 1);
   auto s = rt.stats();
   EXPECT_GE(s.main_blocked_on_window, 1u);
   // Main (worker 0) must have executed some of the work itself.
-  EXPECT_GT(s.acquired_main + s.acquired_own + s.acquired_high, 0u);
+  EXPECT_GT(s.workers[0].executed, 0u);
 }
 
 TEST(TaskWindow, NestedSubmittersThrottleBestEffort) {
@@ -35,15 +58,38 @@ TEST(TaskWindow, NestedSubmittersThrottleBestEffort) {
   Config cfg;
   cfg.num_threads = 4;
   cfg.task_window = 16;
-  cfg.task_window_low = 8;
   cfg.nested_tasks = true;
   Runtime rt(cfg);
+  // Rendezvous instead of timing: every other thread holds in its first
+  // child body until the generator's thread has run a child itself. While
+  // they hold no child retires, so the window fills and the generator runs
+  // children in its throttle.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<std::thread::id> generator{};
+  std::atomic<bool> generator_ran{false};
+  const auto rendezvous = [&] {
+    if (std::this_thread::get_id() ==
+        generator.load(std::memory_order_acquire)) {  // never hold
+      generator_ran.store(true, std::memory_order_release);
+      return;
+    }
+    while (!generator_ran.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
   constexpr int kN = 2000;
   std::vector<int> xs(kN, 0);
   int* data = xs.data();
-  rt.spawn([&rt, data] {
+  rt.spawn([&rt, &generator, &rendezvous, data] {
+    generator.store(std::this_thread::get_id(), std::memory_order_release);
     for (int i = 0; i < kN; ++i)
-      rt.spawn([](int* p) { *p = 1; }, out(data + i));
+      rt.spawn(
+          [&rendezvous](int* p) {
+            rendezvous();
+            *p = 1;
+          },
+          out(data + i));
     rt.taskwait();
   });
   rt.barrier();
@@ -58,7 +104,6 @@ TEST(TaskWindow, NestedDeepChainsUnderTinyWindowNoDeadlock) {
   Config cfg;
   cfg.num_threads = 2;
   cfg.task_window = 2;
-  cfg.task_window_low = 1;
   cfg.nested_tasks = true;
   Runtime rt(cfg);
   long chains[4] = {0, 0, 0, 0};
@@ -79,7 +124,6 @@ TEST(TaskWindow, WindowOfTwoStillCorrectOnChains) {
   Config cfg;
   cfg.num_threads = 4;
   cfg.task_window = 2;
-  cfg.task_window_low = 1;
   Runtime rt(cfg);
   int x = 0;
   for (int i = 0; i < 200; ++i)
