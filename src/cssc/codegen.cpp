@@ -62,7 +62,7 @@ std::string adapter_param_type(const FuncParam& fp) {
 
 }  // namespace
 
-std::string generate_task(const TaskDecl& task, const CodegenOptions& opts) {
+std::string generate_task(const TaskDecl& task) {
   std::ostringstream os;
   os << "// --- task " << task.name << " (line " << task.line << ")";
   if (task.high_priority) os << " [highpriority]";
@@ -132,7 +132,7 @@ std::string generate(const TranslationUnit& tu, const CodegenOptions& opts) {
      << "#include <utility>\n\n"
      << "#include \"runtime/runtime.hpp\"\n\n"
      << "namespace " << opts.ns << " {\n\n";
-  for (const TaskDecl& t : tu.tasks) os << generate_task(t, opts);
+  for (const TaskDecl& t : tu.tasks) os << generate_task(t);
 
   int barriers = 0, waits = 0;
   for (const OtherPragma& p : tu.others) {

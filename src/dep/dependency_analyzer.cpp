@@ -139,7 +139,7 @@ Version* DependencyAnalyzer::pin_latest(CounterStripe& st, DataEntry& e) {
     v->register_reader();
     if (e.latest.load(std::memory_order_seq_cst) == v) return v;
     v->abort_reader_registration(pool_);
-    st.cas_retries.fetch_add(1, std::memory_order_relaxed);
+    st.lockfree_cas_retries.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -147,7 +147,6 @@ void* DependencyAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   SMPSS_ASSERT(!access.has_region);  // region accesses go to RegionAnalyzer
   const unsigned slot = task->submit_slot;
   CounterStripe& st = stripe_for(slot);
-  st.accesses.fetch_add(1, std::memory_order_relaxed);
   if (task->account)
     task->account->accesses.fetch_add(1, std::memory_order_relaxed);
   DataEntry& e = entry_for(st, slot, access.addr, access.bytes);
@@ -225,7 +224,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   Version* v = e.latest.load(std::memory_order_acquire);
   while (!e.latest.compare_exchange_strong(v, v2, std::memory_order_seq_cst,
                                            std::memory_order_acquire)) {
-    st.cas_retries.fetch_add(1, std::memory_order_relaxed);
+    st.lockfree_cas_retries.fetch_add(1, std::memory_order_relaxed);
   }
   // RAW on the old value, wired straight after the CAS: v's producer was
   // set before v was published, so it needs no storage_wait. The earlier
@@ -417,7 +416,7 @@ void* DependencyAnalyzer::process_commuting(CounterStripe& st, unsigned slot,
         if (!joined && still_open) {
           // Open but no longer at the head: retry against the new head.
           v->reader_finished(pool_);
-          st.cas_retries.fetch_add(1, std::memory_order_relaxed);
+          st.lockfree_cas_retries.fetch_add(1, std::memory_order_relaxed);
           continue;
         }
         // Sealed group: fall through and open a fresh one on the head.
@@ -622,30 +621,6 @@ DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back(
   }
   v->reader_finished(pool_);
   return ready ? CopyBack::kDone : CopyBack::kNotReady;
-}
-
-DependencyAnalyzer::Counters DependencyAnalyzer::counters_snapshot() const {
-  Counters out;
-  for (unsigned i = 0; i < kStripes; ++i) {
-    const CounterStripe& st = stripes_[i];
-    out.accesses += st.accesses.load(std::memory_order_relaxed);
-    out.raw_edges += st.raw_edges.load(std::memory_order_relaxed);
-    out.war_edges += st.war_edges.load(std::memory_order_relaxed);
-    out.waw_edges += st.waw_edges.load(std::memory_order_relaxed);
-    out.in_place_reuses +=
-        st.in_place_reuses.load(std::memory_order_relaxed);
-    out.copy_ins += st.copy_ins.load(std::memory_order_relaxed);
-    out.copy_in_bytes += st.copy_in_bytes.load(std::memory_order_relaxed);
-    out.copyback_bytes += st.copyback_bytes.load(std::memory_order_relaxed);
-    out.tracked_objects +=
-        st.tracked_objects.load(std::memory_order_relaxed);
-    out.cas_retries += st.cas_retries.load(std::memory_order_relaxed);
-    out.groups_opened += st.groups_opened.load(std::memory_order_relaxed);
-    out.group_joins += st.group_joins.load(std::memory_order_relaxed);
-    out.groups_closed += st.groups_closed.load(std::memory_order_relaxed);
-    out.commute_edges += st.commute_edges.load(std::memory_order_relaxed);
-  }
-  return out;
 }
 
 std::size_t DependencyAnalyzer::live_entries() const noexcept {

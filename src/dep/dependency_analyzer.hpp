@@ -35,8 +35,8 @@
 // serialize it (Runtime::build_task holds the region rwlock
 // exclusively for it).
 //
-// Counters are striped by submitting thread (no shared hot line) and summed
-// on snapshot.
+// Counters (SMPSS_DEP_COUNTERS, common/counters.hpp) are striped by
+// submitting thread (no shared hot line) and summed on snapshot.
 #pragma once
 
 #include <atomic>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "common/cache.hpp"
+#include "common/counters.hpp"
 #include "common/slab_pool.hpp"
 #include "dep/access.hpp"
 #include "dep/renaming.hpp"
@@ -60,42 +61,6 @@ struct AccessGroup;  // dep/access_group.hpp
 
 class DependencyAnalyzer {
  public:
-  struct Counters {
-    std::uint64_t accesses = 0;
-    std::uint64_t raw_edges = 0;
-    std::uint64_t war_edges = 0;      // only with renaming disabled
-    std::uint64_t waw_edges = 0;      // only with renaming disabled
-    std::uint64_t in_place_reuses = 0;
-    std::uint64_t copy_ins = 0;       // inout renames + extent merges (copies)
-    std::uint64_t copy_in_bytes = 0;
-    std::uint64_t copyback_bytes = 0; // barrier/wait_on realignment copies
-    std::uint64_t tracked_objects = 0;
-    std::uint64_t cas_retries = 0;    // lost publication/pin races (lock-free)
-    std::uint64_t groups_opened = 0;  // commuting groups created
-    std::uint64_t group_joins = 0;    // member tasks joined onto open groups
-    std::uint64_t groups_closed = 0;  // groups sealed (non-matching access,
-                                      // size/op mismatch, or barrier)
-    std::uint64_t commute_edges = 0;  // member → group-close completion edges
-
-    Counters& operator+=(const Counters& o) noexcept {
-      accesses += o.accesses;
-      raw_edges += o.raw_edges;
-      war_edges += o.war_edges;
-      waw_edges += o.waw_edges;
-      in_place_reuses += o.in_place_reuses;
-      copy_ins += o.copy_ins;
-      copy_in_bytes += o.copy_in_bytes;
-      copyback_bytes += o.copyback_bytes;
-      tracked_objects += o.tracked_objects;
-      cas_retries += o.cas_retries;
-      groups_opened += o.groups_opened;
-      group_joins += o.group_joins;
-      groups_closed += o.groups_closed;
-      commute_edges += o.commute_edges;
-      return *this;
-    }
-  };
-
   /// `owner_slots`/`cache_blocks` size the type-stable version pool (same
   /// slot scheme as the TaskArena: one slot per submitting thread).
   DependencyAnalyzer(RenamePool& pool, bool renaming_enabled,
@@ -169,30 +134,19 @@ class DependencyAnalyzer {
 
   // --- introspection --------------------------------------------------------
 
-  /// Sum the per-thread counter stripes. Safe against racing submitters.
-  Counters counters_snapshot() const;
+  /// Add every counter stripe into the same-named fields of `out` (a
+  /// StatsSnapshot). Safe against racing submitters.
+  template <class Out>
+  void add_counters_to(Out& out) const noexcept {
+    for (unsigned i = 0; i < kStripes; ++i) stripes_[i].add_to(out);
+  }
 
   std::size_t live_entries() const noexcept;
 
  private:
-  /// Per-submitting-thread counter stripe: plain atomic bumps, no shared
-  /// cache line between concurrent submitters.
-  struct alignas(kCacheLineSize) CounterStripe {
-    std::atomic<std::uint64_t> accesses{0};
-    std::atomic<std::uint64_t> raw_edges{0};
-    std::atomic<std::uint64_t> war_edges{0};
-    std::atomic<std::uint64_t> waw_edges{0};
-    std::atomic<std::uint64_t> in_place_reuses{0};
-    std::atomic<std::uint64_t> copy_ins{0};
-    std::atomic<std::uint64_t> copy_in_bytes{0};
-    std::atomic<std::uint64_t> copyback_bytes{0};
-    std::atomic<std::uint64_t> tracked_objects{0};
-    std::atomic<std::uint64_t> cas_retries{0};
-    std::atomic<std::uint64_t> groups_opened{0};
-    std::atomic<std::uint64_t> group_joins{0};
-    std::atomic<std::uint64_t> groups_closed{0};
-    std::atomic<std::uint64_t> commute_edges{0};
-  };
+  /// Per-submitting-thread counter stripe: no shared cache line between
+  /// concurrent submitters.
+  struct alignas(kCacheLineSize) CounterStripe : DepCounters {};
   static constexpr unsigned kStripes = 16;  // power of two
 
   /// Entry-table size: a fixed array of CAS-prepend entry chains.

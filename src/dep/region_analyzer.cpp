@@ -10,9 +10,15 @@ void RegionAnalyzer::add_edge(TaskNode* pred, TaskNode* succ, EdgeKind kind) {
   if (pred->finished_hint()) return;  // finished: can't take successors
   if (!pred->add_successor(succ)) return;
   switch (kind) {
-    case EdgeKind::True: ++counters_.raw_edges; break;
-    case EdgeKind::Anti: ++counters_.war_edges; break;
-    case EdgeKind::Output: ++counters_.waw_edges; break;
+    case EdgeKind::True:
+      counters_.raw_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case EdgeKind::Anti:
+      counters_.war_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case EdgeKind::Output:
+      counters_.waw_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
     case EdgeKind::Member: break;  // never emitted by the region analyzer
   }
   if (recorder_) recorder_->record_edge(pred->seq, succ->seq, kind);
@@ -28,7 +34,7 @@ void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   // message before dispatching here; commuting modes never reach regions.
   SMPSS_CHECK(!is_commuting(access.dir),
               "commutative/concurrent access modes are address-mode only");
-  ++counters_.accesses;
+  counters_.region_accesses.fetch_add(1, std::memory_order_relaxed);
   if (task->account)
     task->account->accesses.fetch_add(1, std::memory_order_relaxed);
 
@@ -36,7 +42,6 @@ void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   ArrayEntry& e = it->second;
   if (inserted) {
     e.elem_bytes = access.region.elem_bytes();
-    ++counters_.tracked_arrays;
     tracked_live_.fetch_add(1, std::memory_order_release);
   } else {
     SMPSS_CHECK(e.elem_bytes == access.region.elem_bytes(),
@@ -48,7 +53,6 @@ void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   auto dead = std::remove_if(e.live.begin(), e.live.end(), [&](AccessRec& r) {
     if (!r.task->finished_hint()) return false;
     r.task->release();
-    ++counters_.pruned_records;
     return true;
   });
   e.live.erase(dead, e.live.end());

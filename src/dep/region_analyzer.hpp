@@ -14,9 +14,9 @@
 // Threading: main thread only in the paper-faithful configuration. With
 // concurrent submitters (nested mode) the Runtime guards this class with a
 // dedicated reader-writer lock: region-qualified submissions hold it
-// exclusively, address-mode submissions hold it shared just long enough for
-// the mixed-mode diagnosis (tracks()), and stats() reads the counters under
-// the shared side.
+// exclusively, and address-mode submissions hold it shared just long enough
+// for the mixed-mode diagnosis (tracks()). The counters are atomic cells,
+// so stats() reads them without the lock.
 #pragma once
 
 #include <atomic>
@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/counters.hpp"
 #include "dep/access.hpp"
 #include "graph/graph_recorder.hpp"
 #include "graph/task.hpp"
@@ -32,15 +33,6 @@ namespace smpss {
 
 class RegionAnalyzer {
  public:
-  struct Counters {
-    std::uint64_t accesses = 0;
-    std::uint64_t raw_edges = 0;
-    std::uint64_t war_edges = 0;
-    std::uint64_t waw_edges = 0;
-    std::uint64_t pruned_records = 0;
-    std::uint64_t tracked_arrays = 0;
-  };
-
   explicit RegionAnalyzer(GraphRecorder* recorder) noexcept
       : recorder_(recorder) {}
   RegionAnalyzer(const RegionAnalyzer&) = delete;
@@ -67,7 +59,7 @@ class RegionAnalyzer {
     return tracked_live_.load(std::memory_order_acquire) != 0;
   }
 
-  const Counters& counters() const noexcept { return counters_; }
+  const DepCounters& counters() const noexcept { return counters_; }
 
  private:
   struct AccessRec {
@@ -83,7 +75,7 @@ class RegionAnalyzer {
   void add_edge(TaskNode* pred, TaskNode* succ, EdgeKind kind);
 
   GraphRecorder* recorder_;
-  Counters counters_;
+  DepCounters counters_;
   std::unordered_map<const void*, ArrayEntry> arrays_;
   std::atomic<std::size_t> tracked_live_{0};  ///< arrays_.size(), lock-free
 };

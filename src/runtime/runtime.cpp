@@ -177,7 +177,7 @@ void Runtime::begin_submission(TaskNode* t) {
       parent->add_ref();
       parent->children_live.fetch_add(1, std::memory_order_relaxed);
       t->parent = parent;
-      nested_spawned_.fetch_add(1, std::memory_order_relaxed);
+      submit_counters_.tasks_nested.fetch_add(1, std::memory_order_relaxed);
     }
   }
   t->seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -212,7 +212,7 @@ void Runtime::submit(TaskNode* t) {
   // run and retire from here on: read nothing of it below.
   const bool stream_task = t->stream != nullptr;
   if (t->pending_deps.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    ready_at_creation_.fetch_add(1, std::memory_order_relaxed);
+    submit_counters_.ready_at_creation.fetch_add(1, std::memory_order_relaxed);
     enqueue_ready(t, submitter_tid(), /*at_creation=*/true);
   }
   // A stream task's blocking conditions already ran as admission
@@ -252,7 +252,8 @@ void Runtime::submit(TaskNode* t) {
       };
       if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window ||
           pool_.over_limit()) {
-        foreign_throttled_.fetch_add(1, std::memory_order_relaxed);
+        submit_counters_.foreign_throttled.fetch_add(
+            1, std::memory_order_relaxed);
         while (blocked()) {
           std::uint64_t seen = gate_.prepare_wait();
           if (!blocked()) break;
@@ -263,7 +264,8 @@ void Runtime::submit(TaskNode* t) {
     }
     if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window ||
         pool_.over_limit()) {
-      nested_throttled_.fetch_add(1, std::memory_order_relaxed);
+      submit_counters_.nested_throttled.fetch_add(
+          1, std::memory_order_relaxed);
       detail::tls.in_throttle = true;
       while (tasks_live_.load(std::memory_order_acquire) > window_low() ||
              pool_.over_limit()) {
@@ -276,12 +278,14 @@ void Runtime::submit(TaskNode* t) {
     return;
   }
   if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window) {
-    ++blocked_window_;
+    submit_counters_.main_blocked_on_window.fetch_add(
+        1, std::memory_order_relaxed);
     while (tasks_live_.load(std::memory_order_acquire) > window_low())
       help_once();
   }
   if (pool_.over_limit()) {
-    ++blocked_memory_;
+    submit_counters_.main_blocked_on_memory.fetch_add(
+        1, std::memory_order_relaxed);
     while (pool_.over_limit() &&
            tasks_live_.load(std::memory_order_acquire) > 0)
       help_once();
@@ -614,7 +618,7 @@ void Runtime::help_once() {
 }
 
 void Runtime::taskwait() {
-  taskwaits_.fetch_add(1, std::memory_order_relaxed);
+  submit_counters_.taskwaits.fetch_add(1, std::memory_order_relaxed);
   // Only a task of *this* runtime has children here; a foreign runtime's
   // task calling in falls through to the drain-all path (and its
   // main-thread-only check) like any non-task caller.
@@ -669,7 +673,7 @@ void Runtime::barrier() {
   if (dep_.has_pending_closes()) drain_group_closes();
   dep_.flush_all();
   regions_.flush_all();
-  ++barriers_;
+  submit_counters_.barriers.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::wait_on_addr(const void* addr) {
@@ -731,63 +735,21 @@ StatsSnapshot Runtime::stats() const {
     for (unsigned i = 0; i < cfg_.num_threads; ++i) {
       const WorkerCounters& w = worker_state_[i].counters;
       WorkerStatsRow& row = s.workers[i];
-      row.executed = w.executed.get();
-      row.steals = w.steals.get();
-      row.steal_attempts = w.steal_attempts.get();
-      row.acquired_high = w.acquired_high.get();
-      row.acquired_own = w.acquired_own.get();
-      row.acquired_main = w.acquired_main.get();
-      row.idle_sleeps = w.idle_sleeps.get();
-      row.idle_ns = w.idle_ns.get();
-      row.locality_hits = w.locality_hits.get();
-      row.locality_misses = w.locality_misses.get();
-      row.chained = w.chained.get();
-      s.tasks_executed += row.executed;
-      s.steals += row.steals;
-      s.steal_attempts += row.steal_attempts;
-      s.acquired_high += row.acquired_high;
-      s.acquired_own += row.acquired_own;
-      s.acquired_main += row.acquired_main;
-      s.idle_sleeps += row.idle_sleeps;
-      s.idle_ns += row.idle_ns;
-      s.locality_hits += row.locality_hits;
-      s.locality_misses += row.locality_misses;
-      s.chained_executions += row.chained;
-      s.batched_releases += w.batched_releases.get();
-      s.wakeups_suppressed += w.wakeups_suppressed.get();
-      s.conflict_deferrals += w.conflict_deferrals.get();
-      s.conflict_wakeups += w.conflict_wakeups.get();
+#define SMPSS_READ_ROW(r, total) \
+  row.r = w.r.get();             \
+  s.total += row.r;
+      SMPSS_WORKER_COUNTERS(SMPSS_READ_ROW)
+#undef SMPSS_READ_ROW
     }
     std::atomic_thread_fence(std::memory_order_seq_cst);
 
-    // The dependency counters are striped atomics now — summing them is
-    // safe against racing submitters in every mode. The region counters
-    // stay lock-guarded plain fields: snapshot under the region rwlock
-    // (shared side) when nested submitters may be mutating them.
-    const DependencyAnalyzer::Counters dc = dep_.counters_snapshot();
-    RegionAnalyzer::Counters rc;
-    {
-      std::shared_lock<std::shared_mutex> lk(region_mu_, std::defer_lock);
-      if (cfg_.nested_tasks) lk.lock();
-      rc = regions_.counters();
-    }
-    s.raw_edges = dc.raw_edges + rc.raw_edges;
-    s.war_edges = dc.war_edges + rc.war_edges;
-    s.waw_edges = dc.waw_edges + rc.waw_edges;
+    // Every dependency cell is atomic, so the sums are safe against racing
+    // submitters in every mode, the region analyzer's included.
+    dep_.add_counters_to(s);
+    regions_.counters().add_to(s);
     s.renames = pool_.rename_count();
     s.rename_bytes_total = pool_.total_bytes();
     s.rename_bytes_peak = pool_.peak_bytes();
-    s.in_place_reuses = dc.in_place_reuses;
-    s.copy_ins = dc.copy_ins;
-    s.copy_in_bytes = dc.copy_in_bytes;
-    s.copyback_bytes = dc.copyback_bytes;
-    s.tracked_objects = dc.tracked_objects;
-    s.lockfree_cas_retries = dc.cas_retries;
-    s.region_accesses = rc.accesses;
-    s.groups_opened = dc.groups_opened;
-    s.group_joins = dc.group_joins;
-    s.groups_closed = dc.groups_closed;
-    s.commute_edges = dc.commute_edges;
 
     const PoolStats n = arena_.nodes.stats();
     const PoolStats c = arena_.closures.stats();
@@ -834,15 +796,7 @@ StatsSnapshot Runtime::stats() const {
     }
 
     // Submission side last, spawned_ very last (the invariant anchor).
-    s.tasks_inlined = inlined_.load(std::memory_order_relaxed);
-    s.tasks_nested = nested_spawned_.load(std::memory_order_relaxed);
-    s.taskwaits = taskwaits_.load(std::memory_order_relaxed);
-    s.nested_throttled = nested_throttled_.load(std::memory_order_relaxed);
-    s.foreign_throttled = foreign_throttled_.load(std::memory_order_relaxed);
-    s.ready_at_creation = ready_at_creation_.load(std::memory_order_relaxed);
-    s.barriers = barriers_;
-    s.main_blocked_on_window = blocked_window_;
-    s.main_blocked_on_memory = blocked_memory_;
+    submit_counters_.add_to(s);
     s.tasks_spawned = spawned_.load(std::memory_order_seq_cst);
     s.snapshot_epoch = s.tasks_spawned;
     s.snapshot_consistent = s.tasks_spawned == epoch0;

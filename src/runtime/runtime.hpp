@@ -115,7 +115,7 @@ class Runtime {
       // The check covers worker threads AND the main thread while it is
       // executing tasks at a blocking condition.
       detail::invoke_inline(std::forward<F>(fn), std::forward<Ps>(ps)...);
-      inlined_.fetch_add(1, std::memory_order_relaxed);
+      submit_counters_.tasks_inlined.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     build_task(type, nullptr, nullptr, std::forward<F>(fn),
@@ -418,15 +418,13 @@ class Runtime {
 
   std::atomic<std::size_t> tasks_live_{0};
   std::atomic<bool> shutdown_{false};
-  std::atomic<std::uint64_t> inlined_{0};
 
   /// Guards the RegionAnalyzer tables. Region-qualified submissions hold it
   /// exclusively, and so do all submissions of the no-renaming ablation
   /// (its reader lists need them serialized); address-mode submissions
   /// otherwise hold it shared (only for the mixed-mode diagnosis), so they
   /// stay mutually concurrent. The single-submitter path never touches it.
-  /// Mutable: stats() takes it shared to snapshot the region counters.
-  mutable std::shared_mutex region_mu_;
+  std::shared_mutex region_mu_;
 
   /// Invocation identifier source. Atomic: sequence numbers identify tasks
   /// in traces and the recorded graph but no longer define a global
@@ -434,19 +432,10 @@ class Runtime {
   /// established by the chain-head CAS.
   std::atomic<std::uint64_t> seq_{0};
 
-  // submission-side counters; atomics because nested mode submits from many
-  // threads concurrently
+  /// Tasks submitted: the anchor of stats()' snapshot epoch, so kept apart
+  /// from the submission counter table.
   std::atomic<std::uint64_t> spawned_{0};
-  std::atomic<std::uint64_t> nested_spawned_{0};
-  std::atomic<std::uint64_t> taskwaits_{0};
-  std::atomic<std::uint64_t> nested_throttled_{0};
-  std::atomic<std::uint64_t> foreign_throttled_{0};
-  std::atomic<std::uint64_t> ready_at_creation_{0};
-
-  // main-thread-only counters
-  std::uint64_t barriers_ = 0;
-  std::uint64_t blocked_window_ = 0;
-  std::uint64_t blocked_memory_ = 0;
+  SubmitCounters submit_counters_;
 
   // --- service mode ----------------------------------------------------------
 

@@ -74,7 +74,7 @@ const char* phase_name(std::uint8_t p) {
 std::string Runtime::stats_json(double tasks_per_s) const {
   const StatsSnapshot s = stats();
   std::string out;
-  out.reserve(512 + 256 * s.streams.size());
+  out.reserve(1024 + 384 * s.workers.size() + 256 * s.streams.size());
   out += '{';
   char buf[96];
   std::snprintf(buf, sizeof buf, "\"ts_ms\":%.3f,", now_ns() / 1e6);
@@ -84,7 +84,14 @@ std::string Runtime::stats_json(double tasks_per_s) const {
     out += buf;
   }
   append_u64(out, "tasks_spawned", s.tasks_spawned);
-  append_u64(out, "tasks_executed", s.tasks_executed);
+  // One key per counter-table row (common/counters.hpp), named as the row.
+#define SMPSS_JSON_FIELD(name) append_u64(out, #name, s.name);
+#define SMPSS_JSON_TOTAL(row, total) append_u64(out, #total, s.total);
+  SMPSS_SUBMIT_COUNTERS(SMPSS_JSON_FIELD)
+  SMPSS_DEP_COUNTERS(SMPSS_JSON_FIELD)
+  SMPSS_WORKER_COUNTERS(SMPSS_JSON_TOTAL)
+#undef SMPSS_JSON_FIELD
+#undef SMPSS_JSON_TOTAL
   const std::uint64_t live = s.tasks_spawned - s.tasks_executed;
   append_u64(out, "tasks_live", live);
   append_u64(out, "task_window", cfg_.task_window);
@@ -96,29 +103,16 @@ std::string Runtime::stats_json(double tasks_per_s) const {
   out += buf;
   append_u64(out, "renames", s.renames);
   append_u64(out, "rename_bytes", s.rename_bytes_total);
-  append_u64(out, "lockfree_cas_retries", s.lockfree_cas_retries);
-  append_u64(out, "steals", s.steals);
-  append_u64(out, "idle_ns", s.idle_ns);
-  append_u64(out, "locality_hits", s.locality_hits);
-  append_u64(out, "locality_misses", s.locality_misses);
   out += "\"workers\":[";
   for (std::size_t i = 0; i < s.workers.size(); ++i) {
     const WorkerStatsRow& w = s.workers[i];
     if (i != 0) out += ',';
     out += '{';
     append_u64(out, "tid", i);
-    append_u64(out, "executed", w.executed);
-    append_u64(out, "steals", w.steals);
-    append_u64(out, "steal_attempts", w.steal_attempts);
-    append_u64(out, "acquired_high", w.acquired_high);
-    append_u64(out, "acquired_own", w.acquired_own);
-    append_u64(out, "acquired_main", w.acquired_main);
-    append_u64(out, "idle_sleeps", w.idle_sleeps);
-    append_u64(out, "idle_ns", w.idle_ns);
-    append_u64(out, "locality_hits", w.locality_hits);
-    append_u64(out, "locality_misses", w.locality_misses);
-    append_u64(out, "chained", w.chained, /*comma=*/false);
-    out += '}';
+#define SMPSS_JSON_ROW(row, total) append_u64(out, #row, w.row);
+    SMPSS_WORKER_COUNTERS(SMPSS_JSON_ROW)
+#undef SMPSS_JSON_ROW
+    out.back() = '}';  // replaces the last row's comma
   }
   out += "],";
   append_u64(out, "stream_submitted", s.stream_submitted);

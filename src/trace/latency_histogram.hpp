@@ -61,15 +61,7 @@ class LatencyHistogram {
       counts[b] = buckets_[b].load(std::memory_order_relaxed);
       total += counts[b];
     }
-    if (total == 0) return 0;
-    if (q < 0) q = 0;
-    if (q > 1) q = 1;
-    std::uint64_t rank = static_cast<std::uint64_t>(q * double(total - 1));
-    for (unsigned b = 0; b < kBuckets; ++b) {
-      if (rank < counts[b]) return bucket_bound(b);
-      rank -= counts[b];
-    }
-    return bucket_bound(kBuckets - 1);
+    return percentile_of(counts, q, total);
   }
 
   /// Accumulate this histogram into `out[kBuckets]` (merged service-wide

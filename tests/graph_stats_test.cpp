@@ -167,32 +167,17 @@ TEST(RuntimeWorkerStats, AggregatesEqualRowSumsAcrossWorkers) {
   rt.barrier();
   auto s = rt.stats();
   ASSERT_EQ(s.workers.size(), 4u);
+  EXPECT_EQ(s.tasks_executed, 8u * 65u);
+  // Every worker-table row: the total is exactly the sum of the rows.
   WorkerStatsRow sum;
   for (const auto& w : s.workers) {
-    sum.executed += w.executed;
-    sum.steals += w.steals;
-    sum.steal_attempts += w.steal_attempts;
-    sum.acquired_high += w.acquired_high;
-    sum.acquired_own += w.acquired_own;
-    sum.acquired_main += w.acquired_main;
-    sum.idle_sleeps += w.idle_sleeps;
-    sum.idle_ns += w.idle_ns;
-    sum.locality_hits += w.locality_hits;
-    sum.locality_misses += w.locality_misses;
-    sum.chained += w.chained;
+#define ADD_ROW(row, total) sum.row += w.row;
+    SMPSS_WORKER_COUNTERS(ADD_ROW)
+#undef ADD_ROW
   }
-  EXPECT_EQ(s.tasks_executed, sum.executed);
-  EXPECT_EQ(s.tasks_executed, 8u * 65u);
-  EXPECT_EQ(s.steals, sum.steals);
-  EXPECT_EQ(s.steal_attempts, sum.steal_attempts);
-  EXPECT_EQ(s.acquired_high, sum.acquired_high);
-  EXPECT_EQ(s.acquired_own, sum.acquired_own);
-  EXPECT_EQ(s.acquired_main, sum.acquired_main);
-  EXPECT_EQ(s.idle_sleeps, sum.idle_sleeps);
-  EXPECT_EQ(s.idle_ns, sum.idle_ns);
-  EXPECT_EQ(s.locality_hits, sum.locality_hits);
-  EXPECT_EQ(s.locality_misses, sum.locality_misses);
-  EXPECT_EQ(s.chained_executions, sum.chained);
+#define EXPECT_TOTAL(row, total) EXPECT_EQ(s.total, sum.row) << #total;
+  SMPSS_WORKER_COUNTERS(EXPECT_TOTAL)
+#undef EXPECT_TOTAL
 }
 
 TEST(RuntimeWorkerStats, JsonExportsWorkerRowsAndLocality) {
@@ -214,6 +199,69 @@ TEST(RuntimeWorkerStats, JsonExportsWorkerRowsAndLocality) {
   EXPECT_NE(json.find("\"locality_hits\":"), std::string::npos);
   EXPECT_NE(json.find("\"locality_misses\":"), std::string::npos);
   EXPECT_NE(json.find("\"idle_ns\":"), std::string::npos);
+}
+
+// Every counter-table row (common/counters.hpp) is a key of the JSON line
+// and carries the value stats() reports: the submission, dependency and
+// worker totals at the top level, each worker counter in the worker's row.
+// One thread and a finished barrier keep every counter still between the
+// two calls.
+TEST(RuntimeWorkerStats, JsonCarriesEveryTableCounter) {
+  Config c;
+  c.num_threads = 1;
+  Runtime rt(c);
+  long x = 0;
+  long y = 0;
+  std::vector<int> arr(16, 0);
+  for (int i = 0; i < 4; ++i) {
+    rt.spawn([](long* p) { *p += 1; }, inout(&x));
+    rt.spawn([](const long* p, long* q) { *q = *p; }, in(&x), out(&y));
+    rt.spawn([](long* p) { *p += 1; }, commutative(&y));
+    rt.spawn([](int* a) { a[0] += 1; },
+             inout(arr.data(), Region{{Bound::closed(0, 7)}}));
+  }
+  rt.taskwait();
+  rt.barrier();
+  EXPECT_EQ(x, 4);
+  EXPECT_EQ(y, 5);
+  EXPECT_EQ(arr[0], 4);
+
+  const StatsSnapshot s = rt.stats();
+  const std::string json = rt.stats_json();
+  // The workload reaches every scope, so a key paired with the wrong
+  // field cannot pass as zero against zero.
+  EXPECT_EQ(s.taskwaits, 1u);
+  EXPECT_EQ(s.barriers, 1u);
+  EXPECT_EQ(s.region_accesses, 4u);
+  EXPECT_GT(s.raw_edges, 0u);
+  EXPECT_GT(s.groups_opened, 0u);
+  EXPECT_EQ(s.tasks_executed, 16u);
+  ASSERT_EQ(s.workers.size(), 1u);
+
+  const std::size_t rows_at = json.find("\"workers\":[");
+  ASSERT_NE(rows_at, std::string::npos) << json;
+  SCOPED_TRACE(json);
+  const std::string top = json.substr(0, rows_at);
+  const std::string row =
+      json.substr(rows_at, json.find(']', rows_at) - rows_at);
+  // The number after "key": in `part`, or -1 when the key is missing.
+  const auto value_of = [](const std::string& part, const char* key) {
+    const std::string k = std::string("\"") + key + "\":";
+    const std::size_t at = part.find(k);
+    return at == std::string::npos ? -1LL
+                                   : std::stoll(part.substr(at + k.size()));
+  };
+#define EXPECT_KEY(part, key, v) \
+  EXPECT_EQ(value_of(part, key), static_cast<long long>(v)) << key;
+#define EXPECT_TOP(name) EXPECT_KEY(top, #name, s.name)
+#define EXPECT_WORKER(r, total) \
+  EXPECT_KEY(top, #total, s.total) EXPECT_KEY(row, #r, s.workers[0].r)
+  SMPSS_SUBMIT_COUNTERS(EXPECT_TOP)
+  SMPSS_DEP_COUNTERS(EXPECT_TOP)
+  SMPSS_WORKER_COUNTERS(EXPECT_WORKER)
+#undef EXPECT_KEY
+#undef EXPECT_TOP
+#undef EXPECT_WORKER
 }
 
 }  // namespace

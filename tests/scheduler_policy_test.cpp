@@ -92,25 +92,59 @@ TEST(SchedulerPolicy, StealingKicksInOnImbalance) {
   Runtime rt(cfg);
   // One long chain (lives on one worker) releasing a burst of wide work at
   // each step: other workers can only get it by stealing from the chain
-  // owner's list. The bursts are batched into the owner's deque in one
-  // publication (batched release), so each step must leave enough work on
-  // the table — for long enough — that sleeping workers (bounded 500us
-  // re-poll) reliably wake and steal even on a loaded CI host.
+  // owner's list. Two rendezvous make that independent of timing (without
+  // them a slow host or a sanitizer lets the chain run ahead of the spawn
+  // loop, so the lanes are ready at creation and go to the main list):
+  //   - the chain body of step s holds until all of step s's lanes are
+  //     spawned, so its completion releases them in one batch onto the
+  //     completing worker's own list;
+  //   - each lane body holds until two distinct threads have entered lane
+  //     bodies; the second one can only have got its lane by stealing.
+  // All holds share one 10 s deadline: a missed rendezvous weakens the
+  // scenario (the assertions then report it) but never hangs the suite.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto hold_until = [deadline](const auto& ready) {
+    while (!ready() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+  };
+  constexpr int kSteps = 30;
+  constexpr int kLanes = 64;
+  std::atomic<int> steps_spawned{0};
+  std::mutex lane_mu;
+  std::set<std::thread::id> lane_threads;
+  const auto two_lane_threads = [&] {
+    std::lock_guard<std::mutex> lk(lane_mu);
+    return lane_threads.size() >= 2;
+  };
   long chain = 0;
-  std::vector<long> lanes(64, 0);
-  for (int step = 0; step < 30; ++step) {
-    rt.spawn([](long* c) { burn_cycles(10000, c); }, inout(&chain));
-    for (int w = 0; w < 64; ++w)
+  std::vector<long> lanes(kLanes, 0);
+  for (int step = 0; step < kSteps; ++step) {
+    rt.spawn(
+        [&hold_until, &steps_spawned, step](long* c) {
+          hold_until([&] {
+            return steps_spawned.load(std::memory_order_acquire) > step;
+          });
+          burn_cycles(10000, c);
+        },
+        inout(&chain));
+    for (int w = 0; w < kLanes; ++w)
       rt.spawn(
-          [](const long* c, long* lane) {
+          [&](const long* c, long* lane) {
+            {
+              std::lock_guard<std::mutex> lk(lane_mu);
+              lane_threads.insert(std::this_thread::get_id());
+            }
+            hold_until(two_lane_threads);
             burn_cycles(20000, lane);
             (void)c;
           },
           in(&chain), inout(&lanes[w]));
+    steps_spawned.store(step + 1, std::memory_order_release);
   }
   rt.barrier();
-  EXPECT_EQ(chain, 300000);
-  for (long v : lanes) EXPECT_EQ(v, 30 * 20000);
+  EXPECT_EQ(chain, kSteps * 10000L);
+  for (long v : lanes) EXPECT_EQ(v, kSteps * 20000L);
   EXPECT_GT(rt.stats().steals, 0u);
 }
 

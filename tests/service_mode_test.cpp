@@ -255,6 +255,44 @@ TEST(ServiceMode, StatsJsonExporterWritesLines) {
   std::remove(path.c_str());
 }
 
+// The exporter thread calls stats() every millisecond while the main thread
+// counts barriers and region accesses: every counter must be a cell that a
+// concurrent reader may load (a plain field is a data race ThreadSanitizer
+// reports). The Config is built here, not from the environment, so both
+// submission modes run whatever SMPSS_NESTED says.
+TEST(ServiceMode, StatsExporterReadsCountersWithoutRaces) {
+  constexpr int kRounds = 2000;
+  const std::string path =
+      ::testing::TempDir() + "smpss_stats_race_test.jsonl";
+  for (const bool nested : {false, true}) {
+    SCOPED_TRACE(nested ? "nested_tasks" : "single submitter");
+    std::remove(path.c_str());
+    Config cfg;
+    cfg.num_threads = 2;
+    cfg.nested_tasks = nested;
+    cfg.stats_period_ms = 1;
+    cfg.stats_path = path;
+    Runtime rt(cfg);
+    long cell = 0;
+    std::vector<int> arr(8, 0);
+    for (int r = 0; r < kRounds; ++r) {
+      rt.spawn(
+          [](long* c, int* a) {
+            *c += 1;
+            a[0] += 1;
+          },
+          inout(&cell), inout(arr.data(), Region{{Bound::closed(0, 7)}}));
+      rt.barrier();
+    }
+    EXPECT_EQ(cell, kRounds);
+    EXPECT_EQ(arr[0], kRounds);
+    const StatsSnapshot st = rt.stats();
+    EXPECT_EQ(st.barriers, static_cast<std::uint64_t>(kRounds));
+    EXPECT_EQ(st.region_accesses, static_cast<std::uint64_t>(kRounds));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServiceMode, GracefulShutdown) {
   Runtime rt(service_config());
   StreamHandle a = rt.open_stream({.name = "a"});
