@@ -7,13 +7,15 @@
 // the experiments' two-curve structure:
 //
 //   Variant::Ref    plain loop nests            (plays the "MKL tiles" role)
-//   Variant::Tuned  4-float vector types along  (plays the "Goto tiles" role)
-//                   the output row, over a packed operand
+//   Variant::Tuned  vector types along the      (plays the "Goto tiles" role)
+//                   output row, over a packed operand: 8 floats on a CPU
+//                   with AVX2, else 4 (picked once per process)
 //
 // Tuned's Cholesky kernels keep each output element's IEEE operation order
-// (products summed in ascending k from zero, then subtracted once), so
-// gemm_nt_minus, syrk_ln_minus and potrf_ln are bit-identical to Ref's;
-// trsm_rltn multiplies by 1/L[j][j] where Ref divides by L[j][j].
+// (products summed in ascending k from zero, then subtracted once, with no
+// fused multiply-add), so gemm_nt_minus, syrk_ln_minus and potrf_ln are
+// bit-identical to Ref's at either width, and the two widths agree on every
+// kernel; trsm_rltn multiplies by 1/L[j][j] where Ref divides by L[j][j].
 //
 // All kernels operate on dense row-major m x m blocks. Naming follows BLAS:
 // nt = A * B^T, nn = A * B, l = lower triangular, r = right side.

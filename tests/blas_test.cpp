@@ -1,15 +1,19 @@
-// BLAS substrate validation: every kernel in both variants against a
-// double-precision naive oracle, across block sizes including awkward odd
-// ones; algebraic properties (potrf reconstruction, trsm inverse); and the
-// threaded-BLAS baselines against sequential results.
+// BLAS substrate validation: every kernel of ref and of both widths of the
+// tuned table against a double-precision naive oracle, across block sizes
+// including awkward odd ones; algebraic properties (potrf reconstruction,
+// trsm inverse); bit-exactness between the tables; and the threaded-BLAS
+// baselines against sequential results.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "blas/kernels.hpp"
+#include "blas/tuned_paths.hpp"
 #include "blas/threaded_blas.hpp"
 #include "common/rng.hpp"
 #include "hyper/flat_matrix.hpp"
@@ -46,18 +50,54 @@ float max_diff(const std::vector<float>& a, const std::vector<float>& b) {
   return d;
 }
 
-// Block sizes: awkward odd ones, and 127..129 around the benchmarks' 128
-// tile, which reach every edge path of the tuned kernels' 4x8 tile and
-// 4-wide row updates.
-constexpr int kSizes[] = {1, 2, 3, 5, 8, 16, 17, 31, 32, 33, 64, 127, 128, 129};
+// Block sizes: awkward odd ones; 6 and 96, multiples of the 8-lane table's
+// 6-row tile (96 = 6 x 16 has no edge at all); and 127..129 around the
+// benchmarks' 128 tile. Together they reach every edge path of both tuned
+// tables' tiles (4x8 and 6x16) and of their 4- and 8-wide row updates.
+constexpr int kSizes[] = {1,  2,  3,  5,  6,  8,   16,  17,
+                          31, 32, 33, 64, 96, 127, 128, 129};
 
-using KParam = std::tuple<blas::Variant, int>;  // variant, block size
+// The kernel tables under test: ref, and both widths of the tuned table.
+enum class Table { Ref, Lanes4, Lanes8 };
+
+const char* to_string(Table t) {
+  switch (t) {
+    case Table::Ref: return "ref";
+    case Table::Lanes4: return "lanes4";
+    case Table::Lanes8: return "lanes8";
+  }
+  return "?";
+}
+
+void PrintTo(Table t, std::ostream* os) { *os << to_string(t); }
+
+/// The table, or nullptr when this CPU cannot run it.
+const blas::Kernels* table(Table t) {
+  switch (t) {
+    case Table::Ref: return &blas::ref_kernels();
+    case Table::Lanes4: return &blas::tuned_lanes4_kernels();
+    case Table::Lanes8: return blas::tuned_lanes8_kernels();
+  }
+  return nullptr;
+}
+
+constexpr const char* kNoAvx2 =
+    "the 8-lane table needs AVX2, which this CPU (or non-x86 build) lacks";
+
+using KParam = std::tuple<Table, int>;  // table, block size
 
 class KernelSuite : public ::testing::TestWithParam<KParam> {
  protected:
-  const blas::Kernels& k() const { return blas::kernels(std::get<0>(GetParam())); }
+  void SetUp() override {
+    kernels_ = table(std::get<0>(GetParam()));
+    if (kernels_ == nullptr) GTEST_SKIP() << kNoAvx2;
+  }
+  const blas::Kernels& k() const { return *kernels_; }
   int m() const { return std::get<1>(GetParam()); }
   float tol() const { return 1e-3f * static_cast<float>(m()); }
+
+ private:
+  const blas::Kernels* kernels_ = nullptr;
 };
 
 TEST_P(KernelSuite, GemmNtMinusMatchesOracle) {
@@ -157,11 +197,11 @@ TEST_P(KernelSuite, AddSub) {
 
 INSTANTIATE_TEST_SUITE_P(
     VariantsAndSizes, KernelSuite,
-    ::testing::Combine(::testing::Values(blas::Variant::Ref,
-                                         blas::Variant::Tuned),
+    ::testing::Combine(::testing::Values(Table::Ref, Table::Lanes4,
+                                         Table::Lanes8),
                        ::testing::ValuesIn(kSizes)),
     [](const auto& info) {
-      return std::string(blas::to_string(std::get<0>(info.param))) + "_m" +
+      return std::string(to_string(std::get<0>(info.param))) + "_m" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -170,12 +210,48 @@ bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/// Every kernel of `k`, in table order, on the same inputs for every table.
+std::vector<std::pair<const char*, std::vector<float>>> all_outputs(
+    const blas::Kernels& k, int m) {
+  const auto a = random_block(m, 30), b = random_block(m, 31),
+             c = random_block(m, 32);
+  auto l = spd_block(m, 33);
+  EXPECT_EQ(blas::ref_kernels().potrf_ln(m, l.data()), 0);  // trsm's L
+  std::vector<std::pair<const char*, std::vector<float>>> out;
+  auto c1 = c;
+  k.gemm_nt_minus(m, a.data(), b.data(), c1.data());
+  out.emplace_back("gemm_nt_minus", c1);
+  c1 = c;
+  k.gemm_nn_acc(m, a.data(), b.data(), c1.data());
+  out.emplace_back("gemm_nn_acc", c1);
+  c1 = c;
+  k.syrk_ln_minus(m, a.data(), c1.data());
+  out.emplace_back("syrk_ln_minus", c1);
+  c1 = a;
+  k.trsm_rltn(m, l.data(), c1.data());
+  out.emplace_back("trsm_rltn", c1);
+  c1 = spd_block(m, 34);
+  EXPECT_EQ(k.potrf_ln(m, c1.data()), 0);
+  out.emplace_back("potrf_ln", c1);
+  k.add(m, a.data(), b.data(), c1.data());
+  out.emplace_back("add", c1);
+  k.sub(m, a.data(), b.data(), c1.data());
+  out.emplace_back("sub", c1);
+  return out;
+}
+
+class KernelVariants : public ::testing::TestWithParam<Table> {};
+
 // gemm_nt_minus, syrk_ln_minus and potrf_ln keep ref's per-element operation
-// order, so their outputs must match it bit for bit. trsm_rltn multiplies by
-// 1/L[j][j] where ref divides, so it only agrees within rounding.
-TEST(KernelVariants, TunedAgreesWithRef) {
+// order at either width, so their outputs must match it bit for bit.
+// trsm_rltn multiplies by 1/L[j][j] where ref divides, so it only agrees
+// within rounding. The 8-lane table must also match the 4-lane one bit for
+// bit on all seven kernels: only the vector width differs between them.
+TEST_P(KernelVariants, TunedAgreesWithRef) {
+  const blas::Kernels* wide = table(GetParam());
+  if (wide == nullptr) GTEST_SKIP() << kNoAvx2;
   const blas::Kernels& ref = blas::ref_kernels();
-  const blas::Kernels& tuned = blas::tuned_kernels();
+  const blas::Kernels& tuned = *wide;
   for (int m : kSizes) {
     SCOPED_TRACE(m);
     auto a = random_block(m, 20), b = random_block(m, 21);
@@ -202,6 +278,37 @@ TEST(KernelVariants, TunedAgreesWithRef) {
     ref.trsm_rltn(m, l1.data(), x1.data());
     tuned.trsm_rltn(m, l1.data(), x2.data());
     EXPECT_LE(max_diff(x1, x2), 1e-3f * static_cast<float>(m)) << "trsm_rltn";
+
+    if (GetParam() != Table::Lanes8) continue;
+    const auto narrow_out = all_outputs(blas::tuned_lanes4_kernels(), m);
+    const auto wide_out = all_outputs(tuned, m);
+    for (std::size_t i = 0; i < narrow_out.size(); ++i)
+      EXPECT_TRUE(bit_equal(narrow_out[i].second, wide_out[i].second))
+          << narrow_out[i].first;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TunedTables, KernelVariants,
+                         ::testing::Values(Table::Lanes4, Table::Lanes8),
+                         [](const auto& info) {
+                           return std::string(to_string(info.param));
+                         });
+
+// The process runs the 8-lane table wherever the CPU has AVX2. The line it
+// prints tells a CI log which table the other suites' apps ran.
+TEST(TunedKernels, IsTheEightLaneTableWhenTheCpuHasAvx2) {
+  const blas::Kernels& chosen = blas::tuned_kernels();
+  bool avx2 = false;
+#if defined(__x86_64__) || defined(__i386__)
+  avx2 = __builtin_cpu_supports("avx2");
+#endif
+  std::printf("tuned_kernels() is \"%s\" (CPU %s AVX2)\n", chosen.name,
+              avx2 ? "has" : "lacks");
+  if (avx2) {
+    ASSERT_NE(blas::tuned_lanes8_kernels(), nullptr);
+    EXPECT_EQ(&chosen, blas::tuned_lanes8_kernels());
+  } else {
+    EXPECT_EQ(&chosen, &blas::tuned_lanes4_kernels());
   }
 }
 
