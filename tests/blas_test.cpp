@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "blas/kernels.hpp"
-#include "blas/tuned_paths.hpp"
 #include "blas/threaded_blas.hpp"
+#include "blas/tuned_paths.hpp"
 #include "common/rng.hpp"
 #include "hyper/flat_matrix.hpp"
 
@@ -248,10 +248,10 @@ class KernelVariants : public ::testing::TestWithParam<Table> {};
 // within rounding. The 8-lane table must also match the 4-lane one bit for
 // bit on all seven kernels: only the vector width differs between them.
 TEST_P(KernelVariants, TunedAgreesWithRef) {
-  const blas::Kernels* wide = table(GetParam());
-  if (wide == nullptr) GTEST_SKIP() << kNoAvx2;
+  const blas::Kernels* under_test = table(GetParam());
+  if (under_test == nullptr) GTEST_SKIP() << kNoAvx2;
   const blas::Kernels& ref = blas::ref_kernels();
-  const blas::Kernels& tuned = *wide;
+  const blas::Kernels& tuned = *under_test;
   for (int m : kSizes) {
     SCOPED_TRACE(m);
     auto a = random_block(m, 20), b = random_block(m, 21);

@@ -87,7 +87,7 @@ def better(a, b, direction):
     return a < b if direction == "lower" else a > b
 
 
-def verdict(parent, change, direction, bound, failed_share=(0.0, 0.0)):
+def verdict(parent, change, direction, bound, failed_share):
     """Compares paired runs (parent[i] with change[i]) of one metric.
     Returns a dict with both sides' quartiles, the ratio, the wins and the
     verdict. `failed_share` is (parent, change) failed/attempted rounds."""
