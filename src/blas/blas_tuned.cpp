@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <utility>
 #include <vector>
 
 #include "blas/kernels.hpp"

@@ -203,12 +203,10 @@ def main(argv=None):
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"),
-                    help="BENCHMARK.json giving run_seconds and the metrics")
     ap.add_argument("--out", help="write the results as JSON to this file")
     args = ap.parse_args(argv)
 
-    seconds, known, specs = load_benchmark(args.benchmark)
+    seconds, known, specs = load_benchmark(ROOT / "BENCHMARK.json")
     workloads = args.workload or known
     for w in workloads:
         if w not in known:

@@ -123,7 +123,7 @@ class EndToEnd(unittest.TestCase):
             argv = ["--parent", os.path.join(tmp, "parent"),
                     "--change", os.path.join(tmp, "change"),
                     "--workload", "cholesky", "--pairs", "4", "--seed", "7",
-                    "--benchmark", BENCHMARK, "--out", out]
+                    "--out", out]
             printed = io.StringIO()
             with mock.patch.dict(os.environ, {"AB_LOG": log}), \
                     contextlib.redirect_stdout(printed), \
