@@ -11,6 +11,11 @@
 //     (chain_depth = 0).
 //   * fanout       — a producer releasing W readers per round: the batched
 //     release path (one list publication + at most one wakeup per burst).
+//   * stencil      — stencil_1d-shaped spawns (3 in + 1 out over two
+//     fields, width 64), the shape of perfbench's stencil_fine. At 4
+//     threads nearly every task is ready when it is created, so the row
+//     measures the submitter's own cost per spawn and what it shares with
+//     the workers retiring earlier tasks.
 //
 // CI serializes this into BENCH_task_overhead.json next to the submission
 // bench; tools/bench_compare.py diffs both against the cached main baseline.
@@ -115,9 +120,40 @@ void BM_TaskOverhead_FanOut(benchmark::State& state) {
       static_cast<double>(rt.stats().batched_releases));
 }
 
+// --- stencil: the submitter's cost when tasks are ready at creation ---------
+
+constexpr int kStencilWidth = 64;
+constexpr int kStencilSteps = 256;
+
+void BM_TaskOverhead_StencilReady(benchmark::State& state) {
+  smpss::Runtime rt(overhead_config(smpss::Config{}.chain_depth));
+  // Step s reads three neighbours (periodic) of field s % 2 and writes one
+  // point of the other field.
+  std::vector<long> fields(2 * kStencilWidth, 0);
+  std::uint64_t tasks = 0;
+  for (auto _ : state) {
+    for (int s = 0; s < kStencilSteps; ++s) {
+      const long* src = &fields[(s % 2) * kStencilWidth];
+      long* dst = &fields[((s + 1) % 2) * kStencilWidth];
+      for (int p = 0; p < kStencilWidth; ++p)
+        rt.spawn([](const long*, const long*, const long*, long*) {},
+                 smpss::in(&src[(p + kStencilWidth - 1) % kStencilWidth]),
+                 smpss::in(&src[p]),
+                 smpss::in(&src[(p + 1) % kStencilWidth]),
+                 smpss::out(&dst[p]));
+    }
+    rt.barrier();
+    tasks += static_cast<std::uint64_t>(kStencilSteps) * kStencilWidth;
+  }
+  report(state, tasks, rt);
+  state.counters["ready_at_creation"] = benchmark::Counter(
+      static_cast<double>(rt.stats().ready_at_creation));
+}
+
 }  // namespace
 
 BENCHMARK(BM_TaskOverhead_Independent_Pooled)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_Chain1_Chained)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_Chain1_ListRoundTrip)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_FanOut)->UseRealTime();
+BENCHMARK(BM_TaskOverhead_StencilReady)->UseRealTime();

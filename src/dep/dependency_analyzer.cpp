@@ -47,6 +47,8 @@ DependencyAnalyzer::~DependencyAnalyzer() {
       DataEntry* next = p->next.load(std::memory_order_relaxed);
       if (Version* v = p->latest.load(std::memory_order_acquire))
         v->release(pool_);
+      if (Version* u = p->user_tail.load(std::memory_order_acquire))
+        u->release(pool_);
       delete p;
       p = next;
     }
@@ -192,10 +194,6 @@ void* DependencyAnalyzer::process_read(CounterStripe& st, TaskNode* task,
     add_edge(st, v->producer(), task, EdgeKind::True);
   }
   task->reads.push_back(v);
-  if (s == e.user_ptr) {
-    e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-    task->user_pending_slots.push_back(&e.user_storage_pending);
-  }
   return s;
 }
 
@@ -209,7 +207,8 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   // no later writer can touch it (writers of one datum serialize on this
   // CAS). Crucially, v is NOT read at all before the CAS: a lost race means
   // the pointer may refer to a recycled block, and only the transferred
-  // token makes its fields trustworthy.
+  // token makes its fields trustworthy. The task keeps the token until it
+  // retires (TaskNode::superseded).
   Version* v2 = Version::create(vpool_, slot, &e, Version::unresolved_storage(),
                                 /*bytes=*/0, /*renamed=*/false, task);
   if (group) {
@@ -296,6 +295,14 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       // In-place merge is free: tail bytes beyond `bytes` (if any) are
       // already sitting in this storage.
     } else {
+      if (v->storage() == e.user_ptr) {
+        // The first write of the phase to leave the user buffer: v is the
+        // last version there. Published before finalize_storage below, so a
+        // wait_on that sees this version's storage also sees the tail.
+        SMPSS_ASSERT(e.user_tail.load(std::memory_order_relaxed) == nullptr);
+        v->add_ref();
+        e.user_tail.store(v, std::memory_order_release);
+      }
       acct = task->account;
       storage = pool_.allocate(ext, acct);
       renamed = true;
@@ -314,10 +321,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
         // hold its former latest-token), so this needs no speculative pin.
         v->register_reader();
         task->reads.push_back(v);
-        if (v->storage() == e.user_ptr) {
-          e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-          task->user_pending_slots.push_back(&e.user_storage_pending);
-        }
         task->copy_ins.push_back(
             CopyIn{static_cast<const char*>(v->storage()) + keep_lo,
                    static_cast<char*>(storage) + keep_lo, old_ext - keep_lo});
@@ -328,10 +331,12 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       if (also_reads && ext > old_ext) {
         // Growing inout: bytes [old_ext, ext) were never written by any
         // task, so the body's initial value for them is the program's own
-        // storage. Reading it at task start needs the same quiescence
-        // accounting as any other user-storage access.
-        e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-        task->user_pending_slots.push_back(&e.user_storage_pending);
+        // storage. Reading it at task start is a user-buffer access: pin the
+        // user tail as a reader, so wait_on() cannot copy into the buffer
+        // before this copy ran (this branch renamed, so the tail is set).
+        Version* tail = e.user_tail.load(std::memory_order_relaxed);
+        tail->register_reader();
+        task->reads.push_back(tail);
         task->copy_ins.push_back(
             CopyIn{static_cast<const char*>(e.user_ptr) + old_ext,
                    static_cast<char*>(storage) + old_ext, ext - old_ext});
@@ -372,11 +377,10 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   v2->finalize_storage(storage, ext, renamed, acct);
 
   task->produces.push_back(v2);
-  if (storage == e.user_ptr) {
-    e.user_storage_pending.fetch_add(1, std::memory_order_relaxed);
-    task->user_pending_slots.push_back(&e.user_storage_pending);
-  }
-  v->release(pool_);  // drop the latest-token the CAS transferred to us
+  // The latest-token the CAS transferred to us is dropped at this task's
+  // retire: v and its producer's node then die on a worker, and the
+  // submitter never touches the lines their retires wrote.
+  task->superseded.push_back(v);
   return storage;
 }
 
@@ -586,6 +590,10 @@ void DependencyAnalyzer::flush_all() {
         st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
       }
       v->release(pool_);
+      if (Version* u = p->user_tail.load(std::memory_order_relaxed)) {
+        SMPSS_ASSERT(u->readers_pending() == 0);
+        u->release(pool_);
+      }
       delete p;
       p = next;
     }
@@ -609,14 +617,20 @@ DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back(
   // readers_pending > 0 and rename, so the bytes we copy from stay stable
   // for the duration of the pin.
   Version* v = pin_latest(st, *e);
-  const bool ready =
-      v->is_produced() &&
-      e->user_storage_pending.load(std::memory_order_acquire) == 0;
+  bool ready = v->is_produced();
   if (ready) {
+    // A latest version still in the user buffer needs no copy. A renamed
+    // one may be copied in once no task touches the buffer any more: its
+    // last version there is produced and has no pending reader (see
+    // DataEntry::user_tail). The tail was published before v's storage.
     void* s = v->storage_wait();
     if (s != e->user_ptr) {
-      std::memcpy(e->user_ptr, s, v->bytes());
-      st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
+      Version* tail = e->user_tail.load(std::memory_order_acquire);
+      ready = tail->is_produced() && tail->readers_pending() == 0;
+      if (ready) {
+        std::memcpy(e->user_ptr, s, v->bytes());
+        st.copyback_bytes.fetch_add(v->bytes(), std::memory_order_relaxed);
+      }
     }
   }
   v->reader_finished(pool_);

@@ -7,9 +7,16 @@
 // records where its bytes live (the user's storage or a runtime-owned
 // renamed buffer), which task produces it, and how many readers are still
 // pending. Lifetime is reference-counted:
-//   +1 "latest" token   — held while the version is the newest of its datum
+//   +1 "latest" token   — held while the version is the newest of its datum;
+//                         the write that supersedes it hands the token to
+//                         its task, which drops it at retire (so the version,
+//                         and with it its producer's TaskNode, dies on the
+//                         retiring worker, not on the submitter)
 //   +1 producer token   — held until the producing task completes
 //   +1 per reader       — held until each reading task completes
+//   +1 user-tail token  — held by DataEntry::user_tail (the last version in
+//                         the program's own buffer once a later one was
+//                         renamed) until the phase's flush
 // When the count drops to zero the version is destroyed and renamed storage
 // is returned to the rename pool. This gives the eager reclamation the paper
 // relies on to keep renamed-memory bounded.
@@ -43,7 +50,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/cache.hpp"
 #include "common/check.hpp"
 #include "common/slab_pool.hpp"
 #include "common/small_vector.hpp"
@@ -246,14 +252,8 @@ constexpr std::size_t Version::block_bytes() noexcept {
 /// analyzer's lock-free chained hash table (one bucket array with
 /// CAS-insert; see DependencyAnalyzer) and are address-stable for the phase:
 /// versions point back at their entry, and entries are only freed at
-/// flush_all(), which requires quiescence.
-///
-/// Layout: the fields above the padding are the submitter's (bucket walk,
-/// chain-head CAS, extent); user_storage_pending is decremented by the
-/// retiring worker once per task. A full cache line between them keeps the
-/// two apart at any allocation alignment, so a submitter's CAS never has to
-/// pull its line back from a worker retiring an earlier task on the same
-/// datum (a one-datum inout chain pays that transfer on every spawn).
+/// flush_all(), which requires quiescence. Only submitters (and wait_on)
+/// touch an entry; the retiring workers never write it.
 struct DataEntry {
   void* user_ptr = nullptr;  ///< the address the program passes to tasks
   /// Hash-chain link (prepend-only until flush).
@@ -267,13 +267,15 @@ struct DataEntry {
   /// The chain head (owns the latest-token). Swung by CAS in every
   /// configuration; a single submitter's CAS never retries.
   std::atomic<Version*> latest{nullptr};
-
-  char pad_[kCacheLineSize];
-
-  /// Count of unfinished accesses whose storage is the *user* buffer.
-  /// wait_on() needs user storage quiescent before copying a renamed latest
-  /// version back into it.
-  std::atomic<int> user_storage_pending{0};
+  /// The last version whose storage is the user buffer, set (with a ref) by
+  /// the first renaming write that leaves it; null while every version is
+  /// still there. The versions in the user buffer are a prefix of the chain,
+  /// and in-place reuse orders each after its predecessor's producer and
+  /// readers, so this one being produced with no pending reader means no
+  /// task touches the user buffer any more: the condition wait_on() needs
+  /// before copying a renamed latest version into it. A growing inout's
+  /// copy-in of user-buffer tail bytes registers as its reader for that.
+  std::atomic<Version*> user_tail{nullptr};
 };
 
 }  // namespace smpss

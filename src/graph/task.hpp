@@ -219,9 +219,9 @@ class TaskNode {
   SmallVector<Version*, 2> produces;
   /// Copies to run before the body (renamed inout parameters).
   SmallVector<CopyIn, 1> copy_ins;
-  /// Per-datum "user storage still in use" counters this task must decrement
-  /// at completion (wait_on() quiescence accounting; see dep/version.hpp).
-  SmallVector<std::atomic<int>*, 2> user_pending_slots;
+  /// Versions this task's writes superseded; their latest-tokens are
+  /// released at completion (see dep/version.hpp).
+  SmallVector<Version*, 2> superseded;
 
   // --- commuting access modes (dep/access_group.hpp) ------------------------
 

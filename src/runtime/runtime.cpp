@@ -384,14 +384,7 @@ void Runtime::release_successors(TaskNode* t, unsigned tid,
 
 void Runtime::release_data(TaskNode* t) {
   for (Version* v : t->reads) v->reader_finished(pool_);
-  for (std::atomic<int>* slot : t->user_pending_slots) {
-    // acq_rel (not plain release): wait_on's quiescence probe pairs with
-    // this decrement, and the count must never be observed below zero —
-    // each slot entry here is backed by exactly one increment at submission.
-    const int prev = slot->fetch_sub(1, std::memory_order_acq_rel);
-    SMPSS_ASSERT(prev > 0);
-    (void)prev;
-  }
+  for (Version* v : t->superseded) v->release(pool_);
   for (Version* v : t->produces) v->release(pool_);
 }
 

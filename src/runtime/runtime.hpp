@@ -342,8 +342,9 @@ class Runtime {
   template <typename OnReady>
   void release_successors(TaskNode* t, unsigned tid, OnReady&& on_ready);
 
-  /// Release `t`'s data tokens: reader marks first (so WAR decisions see the
-  /// truth), then user-storage quiescence, then the produced versions.
+  /// Release `t`'s data tokens: reader marks first (so WAR decisions and
+  /// wait_on see the truth), then the latest-tokens of the versions its
+  /// writes superseded, then the produced versions.
   void release_data(TaskNode* t);
 
   /// Run one task on the main thread, or briefly sleep if none is ready.
@@ -416,8 +417,11 @@ class Runtime {
   std::unique_ptr<WorkerState[]> worker_state_;  // [0]=main, [1..n-1]=workers
   std::vector<std::thread> threads_;
 
-  std::atomic<std::size_t> tasks_live_{0};
-  std::atomic<bool> shutdown_{false};
+  /// Written by a locked RMW on every spawn and every retire, so it gets a
+  /// cache line of its own: idle workers read shutdown_ and worker_state_
+  /// on every loop pass.
+  alignas(kCacheLineSize) std::atomic<std::size_t> tasks_live_{0};
+  alignas(kCacheLineSize) std::atomic<bool> shutdown_{false};
 
   /// Guards the RegionAnalyzer tables. Region-qualified submissions hold it
   /// exclusively, and so do all submissions of the no-renaming ablation

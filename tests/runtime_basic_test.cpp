@@ -2,14 +2,32 @@
 // spawns, task types, stats bookkeeping — across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
 
 namespace smpss {
 namespace {
+
+/// Task bodies spin here until another thread opens the flag, holding a
+/// data access open while the main thread sits in wait_on().
+void hold_until(const std::atomic<bool>* go) {
+  while (!go->load(std::memory_order_acquire)) std::this_thread::yield();
+}
+
+/// Opens `go` from another thread about 50 ms from now: long enough for a
+/// wait_on() that does not wait for the held access to run ahead of it.
+std::thread open_after_50ms(std::atomic<bool>& go) {
+  return std::thread([&go] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    go.store(true, std::memory_order_release);
+  });
+}
 
 class RuntimeBasic : public ::testing::TestWithParam<unsigned> {
  protected:
@@ -156,6 +174,73 @@ TEST_P(RuntimeBasic, WaitOnRenamedVersionCopiesBack) {
   rt.wait_on(&x);
   EXPECT_EQ(x, 2);
   rt.barrier();
+  EXPECT_EQ(r, 1);  // the copy-back waited for the reader
+  EXPECT_EQ(rt.rename_pool().current_bytes(), 0u);
+}
+
+TEST_P(RuntimeBasic, WaitOnWaitsForHeldUserBufferReader) {
+  // The reader keeps x's user buffer busy for ~50 ms; the out behind it
+  // renames and can finish at once. wait_on must not copy the renamed value
+  // into x before the reader has read the old one.
+  Runtime rt(cfg());
+  int x = 1;
+  int seen = 0;
+  std::atomic<bool> go{false};
+  rt.spawn(
+      [](std::atomic<bool>* g, const int* p, int* o) {
+        hold_until(g);
+        *o = *p;
+      },
+      opaque(&go), in(&x), out(&seen));
+  rt.spawn([](int* p) { *p = 2; }, out(&x));  // renamed (pending reader)
+  std::thread opener = open_after_50ms(go);
+  rt.wait_on(&x);
+  EXPECT_EQ(x, 2);
+  rt.barrier();
+  opener.join();
+  EXPECT_EQ(seen, 1);
+  EXPECT_EQ(x, 2);
+  EXPECT_EQ(rt.stats().renames, 1u);
+  EXPECT_EQ(rt.rename_pool().current_bytes(), 0u);
+}
+
+TEST_P(RuntimeBasic, WaitOnWaitsForGrowingInoutTailCopy) {
+  // A held reader makes the out of buf[0..1] rename. The inout of buf[0..3]
+  // after it grows the datum, so it renames too and, at its start, copies
+  // buf[2..3] from the user buffer. The out of buf[0..3] behind it renames
+  // and can finish at once. wait_on must wait for the growing inout's
+  // copy-in (its predecessor is held ~50 ms) before copying into buf.
+  Runtime rt(cfg());
+  int buf[4] = {1, 2, 3, 4};
+  int seen[4] = {};
+  std::atomic<bool> reader_go{false}, writer_go{false};
+  rt.spawn([](std::atomic<bool>* g, const int*) { hold_until(g); },
+           opaque(&reader_go), in(buf, 2));
+  rt.spawn(
+      [](std::atomic<bool>* g, int* p) {
+        hold_until(g);
+        p[0] = 10;
+        p[1] = 20;
+      },
+      opaque(&writer_go), out(buf, 2));
+  rt.spawn([](int* p, int* s) { std::copy(p, p + 4, s); }, inout(buf, 4),
+           out(seen, 4));
+  rt.spawn([](int* p) { std::fill(p, p + 4, 7); }, out(buf, 4));
+  // The user buffer's plain reader may finish now; only the growing
+  // inout's copy-in is left to read it.
+  reader_go.store(true, std::memory_order_release);
+  std::thread opener = open_after_50ms(writer_go);
+  rt.wait_on(buf);
+  for (int v : buf) EXPECT_EQ(v, 7);
+  rt.barrier();
+  opener.join();
+  EXPECT_EQ(seen[0], 10);
+  EXPECT_EQ(seen[1], 20);
+  EXPECT_EQ(seen[2], 3);
+  EXPECT_EQ(seen[3], 4);
+  for (int v : buf) EXPECT_EQ(v, 7);
+  EXPECT_EQ(rt.stats().renames, 3u);  // the out, the growing inout, the out
+  EXPECT_EQ(rt.rename_pool().current_bytes(), 0u);
 }
 
 TEST_P(RuntimeBasic, StatsSpawnedEqualsExecuted) {

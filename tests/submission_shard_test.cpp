@@ -287,15 +287,11 @@ TEST(ConcurrentIntrospection, StatsAndWaitOnRaceSubmitters) {
   EXPECT_EQ(s.tasks_nested, static_cast<std::uint64_t>(kParents) * kChildren);
 }
 
-TEST(ConcurrentIntrospection, WaitOnDuringDrainNeverUnderflowsPending) {
-  // Regression (debug assert): a producer retiring into user storage
-  // decrements the entry's user_storage_pending; wait_on() copy-backs
-  // sample it while parents are still draining write chains into the same
-  // datum. A misordered decrement could transiently underflow the counter
-  // (and let a wait_on read a half-retired version). The retire path now
-  // asserts the pre-decrement value is positive; this interleaving —
-  // wait_on hammering a datum whose generator is mid-drain — is the one
-  // that tripped the old ordering.
+TEST(ConcurrentIntrospection, WaitOnDuringDrainCopiesBackSafely) {
+  // wait_on() hammers a datum whose generator is still submitting an inout
+  // chain into it. Its pin makes a racing writer rename, which records the
+  // datum's user tail; a copy-back into the user buffer must then wait for
+  // the in-place producers before it (TSan watches the buffer).
   Config cfg;
   cfg.num_threads = 4;
   cfg.nested_tasks = true;
@@ -310,7 +306,7 @@ TEST(ConcurrentIntrospection, WaitOnDuringDrainNeverUnderflowsPending) {
     // Races the generator's still-submitting chain. The copied-back value
     // is some produced prefix; it cannot be read here without racing a
     // later in-place producer, so the checked outcome is the final total
-    // (plus the debug underflow assert and TSan on the pending counter).
+    // (plus TSan on the user buffer).
     rt.wait_on(&x);
   }
   rt.barrier();
