@@ -199,7 +199,6 @@ TEST_P(RuntimeBasic, WaitOnWaitsForHeldUserBufferReader) {
   rt.barrier();
   opener.join();
   EXPECT_EQ(seen, 1);
-  EXPECT_EQ(x, 2);
   EXPECT_EQ(rt.stats().renames, 1u);
   EXPECT_EQ(rt.rename_pool().current_bytes(), 0u);
 }
@@ -238,7 +237,6 @@ TEST_P(RuntimeBasic, WaitOnWaitsForGrowingInoutTailCopy) {
   EXPECT_EQ(seen[1], 20);
   EXPECT_EQ(seen[2], 3);
   EXPECT_EQ(seen[3], 4);
-  for (int v : buf) EXPECT_EQ(v, 7);
   EXPECT_EQ(rt.stats().renames, 3u);  // the out, the growing inout, the out
   EXPECT_EQ(rt.rename_pool().current_bytes(), 0u);
 }
