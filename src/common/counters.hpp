@@ -27,8 +27,8 @@ namespace smpss {
   X(acquired_high, acquired_high)    /* tasks taken from the high list */      \
   X(acquired_own, acquired_own)      /* tasks taken from this worker's list */ \
   X(acquired_main, acquired_main)    /* tasks taken from the main list */      \
-  X(idle_sleeps, idle_sleeps)        /* sleeps on the idle gate */             \
-  X(idle_ns, idle_ns)                /* wall time blocked on the idle gate */  \
+  X(idle_sleeps, idle_sleeps)        /* gate sleeps in Runtime::wait_until */  \
+  X(idle_ns, idle_ns)                /* wall time of those sleeps */           \
   X(locality_hits, locality_hits)    /* ran a task placed for this worker */   \
   X(locality_misses, locality_misses) /* ran a task placed for another one */  \
   X(chained, chained_executions)     /* ran straight out of a completion */    \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace smpss {
@@ -15,9 +16,12 @@ std::optional<std::string> env_string(const char* name) {
 std::optional<long long> env_int(const char* name) {
   auto s = env_string(name);
   if (!s) return std::nullopt;
+  // The whole value must be the number: "4x" is not 4.
   char* end = nullptr;
-  long long v = std::strtoll(s->c_str(), &end, 10);
-  if (end == s->c_str()) return std::nullopt;
+  errno = 0;
+  const long long v = std::strtoll(s->c_str(), &end, 10);
+  if (end == s->c_str() || *end != '\0' || errno == ERANGE)
+    return std::nullopt;
   return v;
 }
 

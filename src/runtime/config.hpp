@@ -14,9 +14,12 @@
 //   SMPSS_PIN_THREADS       0/1
 //   SMPSS_TRACE             0/1 — record per-task timing events
 //   SMPSS_RECORD_GRAPH      0/1 — record nodes/edges for DOT export
-//   SMPSS_STREAMS           service-mode stream registry capacity
 //   SMPSS_STATS_PERIOD_MS   periodic JSON stats exporter period (0 = off)
 //   SMPSS_STATS_FILE        exporter destination ("" = stderr, appended)
+//
+// A variable that is set must parse and lie in range: from_env() fails a
+// check naming the variable and the values it accepts, so a misspelt
+// ablation knob never runs (and measures) the default.
 #pragma once
 
 #include <cstddef>
@@ -77,11 +80,6 @@ struct Config {
 
   /// Pin threads round-robin over the allowed CPUs.
   bool pin_threads = false;
-
-  /// Service-mode stream registry capacity. StreamStates are registry-pinned
-  /// for the Runtime's life (versions carry their rename accounts past
-  /// stream close), so this bounds open_stream() calls, not concurrency.
-  unsigned max_streams = 64;
 
   /// Period of the JSON stats exporter thread (one line per period with
   /// tasks/s, window occupancy, per-stream counters + latency percentiles).

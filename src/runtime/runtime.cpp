@@ -66,44 +66,29 @@ Runtime::~Runtime() {
     stats_cv_.notify_all();
     stats_thread_.join();
   }
-  if (on_main_thread() && !in_task_context()) {
-    // Streams still open at destruction drain here; flipping them Closed
-    // means a buggy late submit is diagnosed, not lost.
-    shutdown_streams();
-    barrier();
-  } else {
-    // Destruction off the constructing thread gets its own drain path
-    // instead of barrier()'s misleading main-thread-only diagnostic. A
-    // runtime must never be destroyed from inside one of its own task
-    // bodies — the destructor would wait for the very task it runs in.
-    SMPSS_CHECK(!(in_task_context() && detail::tls.current_owner == this),
-                "~Runtime may not run inside one of this runtime's own task "
-                "bodies — finish the task (or move destruction to another "
-                "thread) first");
-    // The destroying thread takes over ready-list slot 0: a valid
-    // destruction implies the constructing thread has stopped using this
-    // runtime, so the slot has no other owner. Registering as worker 0 (not
-    // just borrowing acquire(0)) matters: task bodies executed here then
-    // submit and taskwait as a normal in-task worker — the never-sleeping
-    // throttle, own-list child execution — instead of being misclassified
-    // as foreign threads, which must never run inside a task. Save/restore:
-    // the destroying thread may be a worker of a *different* runtime.
-    detail::ThreadContext& tc = detail::tls;
-    Runtime* prev_rt = tc.rt;
-    const unsigned prev_tid = tc.tid;
-    tc.rt = this;
-    tc.tid = 0;
-    while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
-    tc.rt = prev_rt;
-    tc.tid = prev_tid;
-    // Every task retired above, so the per-stream drains are no-ops here —
-    // this just closes the phases (late submits diagnose, not vanish).
-    shutdown_streams();
-    dep_.close_open_groups();
-    if (dep_.has_pending_closes()) drain_group_closes();
-    dep_.flush_all();
-    regions_.flush_all();
-  }
+  // A runtime must never be destroyed from inside one of its own task
+  // bodies — the destructor would wait for the very task it runs in.
+  SMPSS_CHECK(!(in_task_context() && detail::tls.current_owner == this),
+              "~Runtime may not run inside one of this runtime's own task "
+              "bodies — finish the task (or move destruction to another "
+              "thread) first");
+  // The destroying thread drains as the owner of ready-list slot 0. Off
+  // the constructing thread that is a takeover: a valid destruction implies
+  // the constructing thread no longer uses this runtime. Registered as
+  // worker 0, task bodies run here submit and taskwait as an in-task worker
+  // (the never-sleeping throttle, own-list child execution), never as a
+  // foreign thread, which must not run tasks. Save/restore: the destroying
+  // thread may be a worker of a *different* runtime.
+  detail::ThreadContext& tc = detail::tls;
+  const detail::ThreadContext saved = tc;
+  tc.rt = this;
+  tc.tid = 0;
+  // Streams still open at destruction drain here; flipping them Closed
+  // means a buggy late submit is diagnosed, not lost.
+  shutdown_streams();
+  drain_and_flush();
+  tc.rt = saved.rt;
+  tc.tid = saved.tid;
   shutdown_.store(true, std::memory_order_release);
   gate_.notify_all();
   for (auto& th : threads_) th.join();
@@ -246,19 +231,14 @@ void Runtime::submit(TaskNode* t) {
       // thread is elsewhere (e.g. blocked joining this very submitter), so
       // the window stays soft there as it was before the gate existed.
       if (in_task_context() || cfg_.num_threads < 2) return;
-      const auto blocked = [&] {
-        const std::size_t live = tasks_live_.load(std::memory_order_acquire);
-        return live > window_low() || (pool_.over_limit() && live > 0);
-      };
       if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window ||
           pool_.over_limit()) {
         submit_counters_.foreign_throttled.fetch_add(
             1, std::memory_order_relaxed);
-        while (blocked()) {
-          std::uint64_t seen = gate_.prepare_wait();
-          if (!blocked()) break;
-          gate_.wait(seen, std::chrono::microseconds(200));
-        }
+        wait_until([&] {
+          const std::size_t live = tasks_live_.load(std::memory_order_acquire);
+          return live <= window_low() && (!pool_.over_limit() || live == 0);
+        });
       }
       return;
     }
@@ -280,15 +260,17 @@ void Runtime::submit(TaskNode* t) {
   if (tasks_live_.load(std::memory_order_relaxed) >= cfg_.task_window) {
     submit_counters_.main_blocked_on_window.fetch_add(
         1, std::memory_order_relaxed);
-    while (tasks_live_.load(std::memory_order_acquire) > window_low())
-      help_once();
+    wait_until([&] {
+      return tasks_live_.load(std::memory_order_acquire) <= window_low();
+    });
   }
   if (pool_.over_limit()) {
     submit_counters_.main_blocked_on_memory.fetch_add(
         1, std::memory_order_relaxed);
-    while (pool_.over_limit() &&
-           tasks_live_.load(std::memory_order_acquire) > 0)
-      help_once();
+    wait_until([&] {
+      return !pool_.over_limit() ||
+             tasks_live_.load(std::memory_order_acquire) == 0;
+    });
   }
 }
 
@@ -522,7 +504,7 @@ TaskNode* Runtime::execute_one(TaskNode* t, unsigned tid,
 
   // Wake sleepers at the two thresholds they block on: zero (barrier /
   // outside-task taskwait) and the task-window low-water mark (a throttled
-  // main thread in help_once, or a gated foreign submitter). These stay
+  // main thread, or a gated foreign submitter). These stay
   // unconditional — they guard liveness, not latency — and they run per
   // retire even mid-chain, so a throttled submitter never waits on a chain
   // to finish before seeing the window drain.
@@ -594,22 +576,6 @@ void Runtime::drain_group_closes() {
   }
 }
 
-void Runtime::help_once() {
-  if (TaskNode* t = acquire(0)) {
-    execute_task(t, 0);
-    return;
-  }
-  std::uint64_t seen = gate_.prepare_wait();
-  if (TaskNode* t = acquire(0)) {
-    execute_task(t, 0);
-    return;
-  }
-  if (tasks_live_.load(std::memory_order_acquire) == 0) return;
-  const std::uint64_t w0 = now_ns();
-  gate_.wait(seen, std::chrono::microseconds(200));
-  worker_state_[0].counters.idle_ns += now_ns() - w0;
-}
-
 void Runtime::taskwait() {
   submit_counters_.taskwaits.fetch_add(1, std::memory_order_relaxed);
   // Only a task of *this* runtime has children here; a foreign runtime's
@@ -623,50 +589,39 @@ void Runtime::taskwait() {
     // dependency state alone (no realignment — that is barrier()'s job).
     SMPSS_CHECK(on_main_thread(),
                 "taskwait outside a task body is main-thread-only");
-    while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
+    wait_until(
+        [&] { return tasks_live_.load(std::memory_order_acquire) == 0; });
     return;
   }
-  const unsigned tid = submitter_tid();
-  while (cur->children_live.load(std::memory_order_acquire) > 0) {
-    // Run other ready tasks while waiting — this is what lets a recursion
-    // deeper than the worker count make progress: the waiter executes its
-    // own children (they sit in its local list) on its own stack.
-    if (tid != kForeignTid) {
-      if (TaskNode* t = acquire(tid)) {
-        execute_task(t, tid);
-        continue;
-      }
-    }
-    std::uint64_t seen = gate_.prepare_wait();
-    if (cur->children_live.load(std::memory_order_acquire) == 0) return;
-    if (tid != kForeignTid) {
-      if (TaskNode* t = acquire(tid)) {
-        execute_task(t, tid);
-        continue;
-      }
-    }
-    gate_.wait(seen, std::chrono::microseconds(100));
-  }
+  // Run other ready tasks while waiting — this is what lets a recursion
+  // deeper than the worker count make progress: the waiter executes its
+  // own children (they sit in its local list) on its own stack.
+  wait_until([cur] {
+    return cur->children_live.load(std::memory_order_acquire) == 0;
+  });
 }
 
 void Runtime::barrier() {
   SMPSS_CHECK(on_main_thread() && !in_task_context(),
               "barrier is main-thread-only and may not be called inside a "
               "task body — use taskwait() to wait for child tasks");
+  drain_and_flush();
+  submit_counters_.barriers.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Runtime::drain_and_flush() {
   // No task waits on an open commuting group (any task that depends on one
   // sealed it when it was submitted), so the drain needs no seal first —
   // and sealing here would split a group that a running nested generator
   // is still filling.
-  while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
+  wait_until([&] { return tasks_live_.load(std::memory_order_acquire) == 0; });
   // All tasks retired (and with them all possible nested submitters): seal
   // every open group — a barrier is a non-matching access to everything —
   // retire the closes, align renamed data back into program storage, and
   // drop all dependency state; the next spawn starts from a clean slate.
-  dep_.close_open_groups();
-  if (dep_.has_pending_closes()) drain_group_closes();
+  seal_open_groups();
   dep_.flush_all();
   regions_.flush_all();
-  submit_counters_.barriers.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::wait_on_addr(const void* addr) {
@@ -678,8 +633,7 @@ void Runtime::wait_on_addr(const void* addr) {
   // a result is a serialization point, so seal everything first — otherwise
   // the quiescence probes below would wait forever on a group that only a
   // future submission would close.
-  dep_.close_open_groups();
-  if (dep_.has_pending_closes()) drain_group_closes();
+  seal_open_groups();
   // In nested mode concurrent submitters may be mutating the region table;
   // the peek takes its rwlock.
   bool region_tracked;
@@ -691,23 +645,18 @@ void Runtime::wait_on_addr(const void* addr) {
   if (region_tracked) {
     // Region-tracked arrays have no single "latest version"; conservatively
     // drain all tasks (data stays in place for regions, so no copy-back).
-    while (tasks_live_.load(std::memory_order_acquire) > 0) help_once();
+    wait_until(
+        [&] { return tasks_live_.load(std::memory_order_acquire) == 0; });
     return;
   }
-  // Pin the latest version as a reader (so the copy source cannot be reused
-  // in place under us) and copy back once it is produced and user storage
-  // is quiescent.
-  while (true) {
-    switch (dep_.try_copy_back(addr)) {
-      case DependencyAnalyzer::CopyBack::kUntracked:
-        return;  // never touched by a task: nothing to wait for
-      case DependencyAnalyzer::CopyBack::kDone:
-        return;
-      case DependencyAnalyzer::CopyBack::kNotReady:
-        help_once();
-        break;
-    }
-  }
+  // Each probe pins the latest version as a reader (so the copy source
+  // cannot be reused in place under us) and copies back once it is
+  // produced and user storage is quiescent. A datum never touched by a
+  // task is untracked: nothing to wait for.
+  wait_until([&] {
+    return dep_.try_copy_back(addr) !=
+           DependencyAnalyzer::CopyBack::kNotReady;
+  });
 }
 
 StatsSnapshot Runtime::stats() const {

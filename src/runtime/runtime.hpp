@@ -51,6 +51,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/slab_pool.hpp"
+#include "common/spin.hpp"
 #include "common/timing.hpp"
 #include "dep/dependency_analyzer.hpp"
 #include "dep/region_analyzer.hpp"
@@ -80,12 +81,12 @@ class Runtime {
  public:
   explicit Runtime(Config cfg = Config::from_env());
 
-  /// Drains all in-flight tasks, realigns renamed data, and joins the
-  /// workers. Callable from any thread *outside* this runtime's own task
-  /// bodies: destruction on the constructing thread runs a full barrier();
-  /// destruction elsewhere uses a dedicated drain path (the destroying
-  /// thread takes over the main ready-list slot — by the time destruction
-  /// is valid, the constructing thread no longer uses this runtime).
+  /// Closes every stream, drains all in-flight tasks, realigns renamed
+  /// data, and joins the workers. Callable from any thread *outside* this
+  /// runtime's own task bodies: a destroying thread other than the
+  /// constructing one first takes over the main ready-list slot (by the
+  /// time destruction is valid, the constructing thread no longer uses this
+  /// runtime), so both run the same drain as barrier().
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -347,8 +348,55 @@ class Runtime {
   /// writes superseded, then the produced versions.
   void release_data(TaskNode* t);
 
-  /// Run one task on the main thread, or briefly sleep if none is ready.
-  void help_once();
+  /// The one blocking loop. Sec. III: at a blocking condition a thread
+  /// "behaves as a worker thread until an unblocking condition is reached".
+  /// A caller that owns a ready-list slot of this runtime (a worker, the
+  /// main thread, the off-thread destructor) runs ready tasks until
+  /// `done()`; after `spins` failed passes, with backoff between them, it
+  /// takes the gate's two-phase sleep (bounded at the gate's 500 us) and
+  /// counts it into its row's idle_sleeps and idle_ns. A thread without a
+  /// slot never runs tasks here and only sleeps. worker_main passes 128
+  /// spins; every other wait passes none.
+  template <typename Done>
+  void wait_until(Done&& done, unsigned spins = 0) {
+    const unsigned tid = submitter_tid();
+    unsigned failures = 0;
+    Backoff backoff;
+    const auto run_one = [&] {
+      TaskNode* t = tid == kForeignTid ? nullptr : acquire(tid);
+      if (t == nullptr) return false;
+      execute_task(t, tid);
+      failures = 0;
+      backoff.reset();
+      return true;
+    };
+    while (!done()) {
+      if (run_one()) continue;
+      if (++failures < spins) {
+        backoff.pause();
+        continue;
+      }
+      // Two-phase sleep: snapshot the gate, re-check both the condition and
+      // the lists, then block until a notify moves the epoch.
+      const std::uint64_t seen = gate_.prepare_wait();
+      if (done()) return;
+      if (run_one()) continue;
+      const std::uint64_t w0 = now_ns();
+      gate_.wait(seen);
+      if (tid != kForeignTid) {
+        WorkerCounters& wc = worker_state_[tid].counters;
+        ++wc.idle_sleeps;
+        wc.idle_ns += now_ns() - w0;
+      }
+      failures = 0;
+      backoff.reset();
+    }
+  }
+
+  /// Wait until no task is live, then seal every open commuting group,
+  /// realign renamed data into program storage and drop all dependency
+  /// state: barrier()'s body, and the destructor's on either thread.
+  void drain_and_flush();
 
   void wait_on_addr(const void* addr);
 
@@ -365,6 +413,13 @@ class Runtime {
   /// submission path resolve there, never on a worker). Called from
   /// submit/barrier/wait_on/drain — any point that observes the analyzer.
   void drain_group_closes();
+
+  /// Seal every open commuting group and retire the closes: barrier,
+  /// wait_on and drain are non-matching accesses to everything.
+  void seal_open_groups() {
+    dep_.close_open_groups();
+    drain_group_closes();
+  }
 
   // --- service mode internals (runtime/stream.cpp) ---------------------------
 
@@ -410,6 +465,7 @@ class Runtime {
   /// The Sec. III ready lists: owner of every placement, lookup and steal
   /// decision (sched/ready_lists.hpp).
   ReadyLists<TaskNode> ready_;
+  /// Every blocked thread sleeps here, in wait_until and nowhere else.
   IdleGate gate_;
   Tracer tracer_;
 
@@ -453,9 +509,6 @@ class Runtime {
   /// Weighted round-robin admission for stream submissions (the fairness
   /// replacement for the free-for-all foreign-thread gate).
   AdmissionControl admission_;
-
-  /// Future waiters sleep here; retire_service notifies after fulfill.
-  IdleGate future_gate_;
 
   // periodic JSON stats exporter (Config::stats_period_ms > 0)
   std::thread stats_thread_;

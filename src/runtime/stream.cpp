@@ -4,13 +4,18 @@
 // sched/admission.hpp for the fairness policy.
 #include "runtime/stream.hpp"
 
-#include <chrono>
-
 #include "common/timing.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/thread_context.hpp"
 
 namespace smpss {
+
+namespace {
+/// Stream registry capacity. StreamStates are registry-pinned for the
+/// Runtime's life (versions carry their rename accounts past stream close),
+/// so this bounds open_stream() calls, not concurrency.
+constexpr std::size_t kMaxStreams = 64;
+}  // namespace
 
 StreamHandle Runtime::open_stream(StreamOptions opts) {
   SMPSS_CHECK(cfg_.nested_tasks,
@@ -18,10 +23,10 @@ StreamHandle Runtime::open_stream(StreamOptions opts) {
               "stream clients are concurrent submitters, and the non-nested "
               "runtime inline-demotes foreign-thread spawns");
   std::lock_guard<std::mutex> lk(streams_mu_);
-  SMPSS_CHECK(streams_.size() < cfg_.max_streams,
-              "stream registry full — raise Config::max_streams "
-              "(SMPSS_STREAMS); closed streams stay registered (their "
-              "rename accounts may outlive them)");
+  SMPSS_CHECK(streams_.size() < kMaxStreams,
+              "stream registry full (64 streams per Runtime); closed "
+              "streams stay registered (their rename accounts may outlive "
+              "them)");
   auto st = std::make_unique<StreamState>();
   st->id = static_cast<std::uint32_t>(streams_.size());
   st->name = opts.name.empty() ? "stream-" + std::to_string(st->id)
@@ -111,21 +116,8 @@ void Runtime::drain_stream(StreamState& s) {
   // for tasks downstream of an open commuting group requires the group's
   // close to be reachable. Seal everything first (future submissions start
   // new groups; correctness is unaffected, only batching).
-  dep_.close_open_groups();
-  if (dep_.has_pending_closes()) drain_group_closes();
-  // The main thread helps execute (as at every Sec. III blocking
-  // condition); any other client sleeps on the gate with the usual bounded
-  // timeout.
-  const bool can_help = on_main_thread() && !in_task_context();
-  while (s.live.load(std::memory_order_acquire) > 0) {
-    if (can_help) {
-      help_once();
-      continue;
-    }
-    const std::uint64_t seen = gate_.prepare_wait();
-    if (s.live.load(std::memory_order_acquire) <= 0) break;
-    gate_.wait(seen, std::chrono::microseconds(200));
-  }
+  seal_open_groups();
+  wait_until([&] { return s.live.load(std::memory_order_acquire) <= 0; });
 }
 
 void Runtime::close_stream(StreamState& s) {
@@ -167,16 +159,7 @@ void Runtime::wait_future(FutureState& f) {
   SMPSS_CHECK(!(in_task_context() && detail::tls.current_owner == this),
               "TaskFuture::wait may not run inside one of this runtime's "
               "own task bodies");
-  const bool can_help = on_main_thread() && !in_task_context();
-  while (!f.ready()) {
-    if (can_help) {
-      help_once();
-      continue;
-    }
-    const std::uint64_t seen = future_gate_.prepare_wait();
-    if (f.ready()) return;
-    future_gate_.wait(seen, std::chrono::microseconds(200));
-  }
+  wait_until([&f] { return f.ready(); });
 }
 
 // --- FutureState --------------------------------------------------------------
@@ -212,7 +195,7 @@ bool FutureState::fulfill() {
     ran = true;
   }
   done_.store(true, std::memory_order_release);
-  rt_->future_gate_.notify_all();
+  rt_->gate_.notify_all();
   return ran;
 }
 

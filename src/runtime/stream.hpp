@@ -104,10 +104,11 @@ class FutureState {
     return done_.load(std::memory_order_acquire);
   }
 
-  /// Block until the task retired (and its callback, if any, ran). The main
-  /// thread executes ready tasks while waiting; any other thread sleeps on
-  /// the future gate. Must not be called from inside one of the owning
-  /// runtime's own task bodies (it would wait on itself).
+  /// Block until the task retired (and its callback, if any, ran). A thread
+  /// that owns a ready-list slot of the runtime (the main thread) executes
+  /// ready tasks while waiting; any other thread sleeps on the runtime's
+  /// gate. Must not be called from inside one of the owning runtime's own
+  /// task bodies (it would wait on itself).
   void wait();
 
   /// Install the completion callback. At most one per future; runs on the

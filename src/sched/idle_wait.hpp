@@ -1,11 +1,15 @@
-// Idle/wakeup coordination for worker threads and throttled submitters.
+// Idle/wakeup coordination for worker threads and blocked callers.
 //
-// Besides idle workers, the gate carries the runtime's threshold sleepers:
-// a barrier-waiting main thread (wakes when the live-task count hits zero),
-// window-throttled helpers, and gated foreign submitters (both woken when
-// the count crosses the task-window low-water mark — Runtime::execute_task
-// notifies at exactly those two crossings). Threshold sleepers always pass
-// a bounded timeout, so a missed crossing costs one re-poll, never a hang.
+// In the runtime one loop sleeps here, Runtime::wait_until, on behalf of
+// every blocked thread: idle workers, and every caller at a blocking call —
+// the main thread at a barrier, a wait_on, a taskwait or the task window
+// (woken when the live-task count hits zero or crosses the window's
+// low-water mark, the two crossings Runtime::execute_task notifies at), a
+// worker in an in-task taskwait (woken when the last child retires), and
+// the threads that own no ready-list slot and only sleep: gated foreign
+// submitters, stream drainers and future waiters. Every sleep is bounded by
+// the 500 us default timeout, so a missed crossing costs one re-poll, never
+// a hang.
 //
 // Workers that find no ready work spin briefly (task inter-arrival at the
 // paper's target granularity is short), then block on a condition variable.
@@ -91,10 +95,6 @@ class IdleGate {
     }
     for (int i = 0; i < want; ++i) cv_.notify_one();
     return want;
-  }
-
-  int sleepers() const noexcept {
-    return sleepers_.load(std::memory_order_relaxed);
   }
 
  private:

@@ -209,7 +209,9 @@ TEST(Env, ParsesIntsAndBools) {
   ::setenv("SMPSS_TEST_BOOL1", "true", 1);
   ::setenv("SMPSS_TEST_BOOL0", "off", 1);
   ::setenv("SMPSS_TEST_JUNK", "zzz", 1);
+  ::setenv("SMPSS_TEST_TRAILING", "4x", 1);
   EXPECT_EQ(env_int("SMPSS_TEST_INT").value(), 42);
+  EXPECT_FALSE(env_int("SMPSS_TEST_TRAILING").has_value());
   EXPECT_TRUE(env_bool("SMPSS_TEST_BOOL1").value());
   EXPECT_FALSE(env_bool("SMPSS_TEST_BOOL0").value());
   EXPECT_FALSE(env_bool("SMPSS_TEST_JUNK").has_value());
@@ -218,6 +220,7 @@ TEST(Env, ParsesIntsAndBools) {
   ::unsetenv("SMPSS_TEST_BOOL1");
   ::unsetenv("SMPSS_TEST_BOOL0");
   ::unsetenv("SMPSS_TEST_JUNK");
+  ::unsetenv("SMPSS_TEST_TRAILING");
 }
 
 // --- spin primitives -----------------------------------------------------------------

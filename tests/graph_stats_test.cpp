@@ -3,8 +3,11 @@
 // ones.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/graph_recorder.hpp"
@@ -178,6 +181,31 @@ TEST(RuntimeWorkerStats, AggregatesEqualRowSumsAcrossWorkers) {
 #define EXPECT_TOTAL(row, total) EXPECT_EQ(s.total, sum.row) << #total;
   SMPSS_WORKER_COUNTERS(EXPECT_TOTAL)
 #undef EXPECT_TOTAL
+}
+
+// A blocked main thread counts its sleeps like a worker: the one task runs
+// on the worker, so the barrier finds no ready task and row 0 sleeps.
+TEST(RuntimeWorkerStats, MainThreadSleepsCountInRowZero) {
+  Config c;
+  c.num_threads = 2;
+  Runtime rt(c);
+  std::atomic<bool> started{false};
+  long x = 0;
+  rt.spawn(
+      [&started](long* p) {
+        started.store(true, std::memory_order_release);
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        *p = 1;
+      },
+      out(&x));
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  rt.barrier();
+  EXPECT_EQ(x, 1);
+  const StatsSnapshot s = rt.stats();
+  ASSERT_EQ(s.workers.size(), 2u);
+  EXPECT_GE(s.workers[0].idle_sleeps, 1u);
+  EXPECT_GT(s.workers[0].idle_ns, 0u);
+  EXPECT_EQ(s.workers[0].executed, 0u);
 }
 
 TEST(RuntimeWorkerStats, JsonExportsWorkerRowsAndLocality) {

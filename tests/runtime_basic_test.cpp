@@ -308,6 +308,27 @@ TEST(RuntimeConfig, EnvOverrides) {
   ::unsetenv("SMPSS_SCHEDULER");
 }
 
+// A set variable that does not parse must stop the program, naming itself
+// and what it accepts: a misspelt ablation would otherwise run the default.
+TEST(RuntimeConfig, MisspeltSchedulerDies) {
+  EXPECT_DEATH(
+      {
+        ::setenv("SMPSS_SCHEDULER", "centralised", 1);
+        Config::from_env();
+      },
+      "SMPSS_SCHEDULER=\"centralised\" is invalid; it accepts distributed "
+      "or centralized");
+}
+
+TEST(RuntimeConfig, TrailingGarbageIntegerDies) {
+  EXPECT_DEATH(
+      {
+        ::setenv("SMPSS_NUM_THREADS", "4x", 1);
+        Config::from_env();
+      },
+      "SMPSS_NUM_THREADS=\"4x\" is invalid; it accepts a positive integer");
+}
+
 TEST(RuntimeConfig, NormalizeDerivesFields) {
   Config c;
   c.num_threads = 0;

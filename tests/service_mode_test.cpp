@@ -136,6 +136,48 @@ TEST(ServiceMode, FuturesCompleteExactlyOnce) {
   for (auto& f : futs) f.wait();
 }
 
+// Client threads own no ready-list slot, so TaskFuture::wait() there only
+// sleeps on the runtime's gate until the retiring worker fulfills the
+// future. Each client submits to its own stream in small batches and waits
+// on every future, some already done and some not; half carry a callback
+// armed before the wait.
+TEST(ServiceMode, ClientThreadsWaitOnTheirOwnFutures) {
+  for (unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Runtime rt(service_config(threads));
+    constexpr int kClients = 2, kTasks = 240, kBatch = 8;
+    std::vector<int> cells(kClients * kTasks, 0);
+    std::vector<std::atomic<int>> fired(kClients * kTasks);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+      clients.emplace_back([&, c] {
+        StreamHandle s = rt.open_stream({.name = "client" + std::to_string(c)});
+        for (int b = 0; b < kTasks; b += kBatch) {
+          std::vector<TaskFuture> futs;
+          for (int i = b; i < b + kBatch; ++i) {
+            const int k = c * kTasks + i;
+            futs.push_back(
+                s.submit([k](int* cell) { *cell = k + 1; }, out(&cells[k])));
+            if (i % 2 == 0) futs.back().then([&fired, k] { fired[k]++; });
+          }
+          for (int i = b; i < b + kBatch; ++i) {
+            const int k = c * kTasks + i;
+            futs[i - b].wait();
+            EXPECT_TRUE(futs[i - b].ready()) << k;
+            EXPECT_EQ(cells[k], k + 1) << k;
+            EXPECT_EQ(fired[k].load(), i % 2 == 0 ? 1 : 0) << k;
+          }
+        }
+      });
+    for (std::thread& t : clients) t.join();
+    for (int k = 0; k < kClients * kTasks; ++k) {
+      EXPECT_EQ(cells[k], k + 1) << k;
+      EXPECT_EQ(fired[k].load(), k % 2 == 0 ? 1 : 0) << k;
+    }
+    EXPECT_EQ(rt.live_tasks(), 0u);
+  }
+}
+
 TEST(ServiceMode, CallbacksCompleteBeforeCloseReturns) {
   // close() (and drain()) returning implies every callback already ran:
   // retire fulfills the future before the stream's live count drops. A
