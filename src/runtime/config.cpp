@@ -20,13 +20,12 @@ void require(bool ok, const char* name, const char* accepts) {
   SMPSS_CHECK(ok, msg.c_str());
 }
 
-/// A set integer variable, checked against [min, UINT_MAX].
-std::optional<unsigned> int_var(const char* name, long long min,
-                                const char* accepts) {
+/// A set integer variable, checked against [min, UINT_MAX] for min 0 or 1.
+std::optional<unsigned> int_var(const char* name, long long min) {
   if (!env_string(name)) return std::nullopt;
   const std::optional<long long> v = env_int(name);
   require(v && *v >= min && *v <= std::numeric_limits<unsigned>::max(), name,
-          accepts);
+          min > 0 ? "a positive integer" : "a non-negative integer");
   return static_cast<unsigned>(*v);
 }
 
@@ -41,16 +40,13 @@ std::optional<bool> bool_var(const char* name) {
 
 Config Config::from_env() {
   Config c;
-  constexpr const char* kPositive = "a positive integer";
-  constexpr const char* kNonNegative = "a non-negative integer";
-  if (auto v = int_var("SMPSS_NUM_THREADS", 1, kPositive)) c.num_threads = *v;
-  if (auto v = int_var("SMPSS_TASK_WINDOW", 1, kPositive)) c.task_window = *v;
-  if (auto v = int_var("SMPSS_RENAME_MEMORY_MB", 1, kPositive))
+  if (auto v = int_var("SMPSS_NUM_THREADS", 1)) c.num_threads = *v;
+  if (auto v = int_var("SMPSS_TASK_WINDOW", 1)) c.task_window = *v;
+  if (auto v = int_var("SMPSS_RENAME_MEMORY_MB", 1))
     c.rename_memory_limit = static_cast<std::size_t>(*v) << 20;
   if (auto v = bool_var("SMPSS_RENAMING")) c.renaming = *v;
   if (auto v = bool_var("SMPSS_NESTED")) c.nested_tasks = *v;
-  if (auto v = int_var("SMPSS_CHAIN_DEPTH", 0, kNonNegative))
-    c.chain_depth = *v;
+  if (auto v = int_var("SMPSS_CHAIN_DEPTH", 0)) c.chain_depth = *v;
   if (auto v = env_string("SMPSS_SCHEDULER")) {
     require(*v == "distributed" || *v == "centralized", "SMPSS_SCHEDULER",
             "distributed or centralized");
@@ -66,8 +62,7 @@ Config Config::from_env() {
   if (auto v = bool_var("SMPSS_PIN_THREADS")) c.pin_threads = *v;
   if (auto v = bool_var("SMPSS_TRACE")) c.tracing = *v;
   if (auto v = bool_var("SMPSS_RECORD_GRAPH")) c.record_graph = *v;
-  if (auto v = int_var("SMPSS_STATS_PERIOD_MS", 0, kNonNegative))
-    c.stats_period_ms = *v;
+  if (auto v = int_var("SMPSS_STATS_PERIOD_MS", 0)) c.stats_period_ms = *v;
   if (auto v = env_string("SMPSS_STATS_FILE")) c.stats_path = *v;
   return c;
 }

@@ -166,6 +166,8 @@ void Runtime::wait_future(FutureState& f) {
 
 void FutureState::wait() {
   if (ready()) return;
+  waited_.store(true, std::memory_order_seq_cst);
+  if (done_.load(std::memory_order_seq_cst)) return;
   rt_->wait_future(*this);
 }
 
@@ -194,8 +196,8 @@ bool FutureState::fulfill() {
     cb_();  // runs on the retiring worker, before done_ is published
     ran = true;
   }
-  done_.store(true, std::memory_order_release);
-  rt_->gate_.notify_all();
+  done_.store(true, std::memory_order_seq_cst);
+  if (waited_.load(std::memory_order_seq_cst)) rt_->gate_.notify_all();
   return ran;
 }
 

@@ -117,7 +117,8 @@ class FutureState {
   void then(std::function<void()> cb);
 
   /// Retire side (Runtime::retire_service): publish completion, run the
-  /// armed callback, wake waiters. Returns whether a callback ran here.
+  /// armed callback, wake the gate if a thread waits on this future.
+  /// Returns whether a callback ran here.
   bool fulfill();
 
  private:
@@ -129,6 +130,11 @@ class FutureState {
   Runtime* rt_;
   std::atomic<std::int32_t> refs_{2};  // task + handle
   std::atomic<bool> done_{false};
+  // Set by wait() before its last check of done_: fulfill() notifies the
+  // runtime's gate only for a future a thread waits on, so retiring an
+  // unwatched future wakes no idle worker. Both sides use seq_cst, so
+  // either the waiter sees done_ or fulfill() sees this flag.
+  std::atomic<bool> waited_{false};
   std::atomic<std::uint8_t> cb_state_{kNone};
   std::function<void()> cb_;
 };
