@@ -8,14 +8,17 @@
 //
 //   Variant::Ref    plain loop nests            (plays the "MKL tiles" role)
 //   Variant::Tuned  vector types along the      (plays the "Goto tiles" role)
-//                   output row, over a packed operand: 8 floats on a CPU
-//                   with AVX2, else 4 (picked once per process)
+//                   output row, over a packed operand: 16 floats on a CPU
+//                   with AVX-512F, else 8 with AVX2, else 4 (the widest
+//                   table the CPU runs, picked once per process)
 //
 // Tuned's Cholesky kernels keep each output element's IEEE operation order
 // (products summed in ascending k from zero, then subtracted once, with no
 // fused multiply-add), so gemm_nt_minus, syrk_ln_minus and potrf_ln are
-// bit-identical to Ref's at either width, and the two widths agree on every
-// kernel; trsm_rltn multiplies by 1/L[j][j] where Ref divides by L[j][j].
+// bit-identical to Ref's at every width, and the three widths agree on every
+// kernel. trsm_rltn solves on register tiles, left-looking, but keeps each
+// element's order too: x[q] -= x[k] * L[q][k] in ascending k, then one
+// multiply by 1/L[q][q], where Ref divides by L[q][q].
 //
 // All kernels operate on dense row-major m x m blocks. Naming follows BLAS:
 // nt = A * B^T, nn = A * B, l = lower triangular, r = right side.

@@ -1,6 +1,6 @@
-// The two tables tuned_kernels() chooses between, for tests that must run
-// both on one host. Callers that only want the fastest tiles use
-// tuned_kernels() from kernels.hpp.
+// The three tables tuned_kernels() chooses between, for tests and benches
+// that must run each of them on one host. Callers that only want the
+// fastest tiles use tuned_kernels() from kernels.hpp.
 #pragma once
 
 #include "blas/kernels.hpp"
@@ -13,5 +13,9 @@ const Kernels& tuned_lanes4_kernels() noexcept;
 /// The 8-lane AVX2 table (6x16 tile), or nullptr when this CPU lacks AVX2
 /// or the build is not for x86.
 const Kernels* tuned_lanes8_kernels() noexcept;
+
+/// The 16-lane AVX-512F table, or nullptr when this CPU lacks AVX-512F
+/// or the build is not for x86.
+const Kernels* tuned_lanes16_kernels() noexcept;
 
 }  // namespace smpss::blas
