@@ -18,17 +18,24 @@ for neither), failed/attempted rounds per side, and one verdict:
 - ``gain``: the change wins at least 9/10 of the pairs, the medians differ
   by more than the parent's IQR in the better direction, and no larger
   share of the change's rounds failed;
+- ``unresolved``: the parent's IQR exceeds the bound (relative to its
+  median), unless every change run beats every parent run. Such a spread
+  decides nothing, so the set must be run again; it never counts as a pass;
 - ``regression``: the change's median is worse than the parent's by more
   than the metric's bound;
-- ``unresolved``: the parent's IQR exceeds the bound (relative to its
-  median), unless every change run beats every parent run;
 - ``unchanged``: none of the above.
 
+The verdicts are checked in that order. Around each run the tool reads the
+``cpu`` line of ``/proc/stat`` and records the run's steal share (steal
+jiffies over all jiffies, host-wide); under the table it prints each side's
+median, since a noisy neighbour shows there before it shows as a verdict.
+
 ``--out PATH`` also writes the results as JSON, with both sides' perfbench
-``stamp`` lines (nproc, CPU, compiler, build type, commit). An existing
-file keeps its entries for other (workload, seed) pairs, so one file can
-collect a change's whole trajectory. The exit status is 1 when any metric
-reads as a regression or any round failed, else 0.
+``stamp`` lines (nproc, CPU, compiler, build type, commit) and per-run steal
+shares (``null`` where ``/proc/stat`` is missing). An existing file keeps
+its entries for other (workload, seed) pairs, so one file can collect a
+change's whole trajectory. The exit status is 1 when any metric reads as a
+regression or as unresolved, or any round failed, else 0.
 """
 
 import argparse
@@ -40,6 +47,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PROC_STAT = "/proc/stat"
 
 
 def load_benchmark(path):
@@ -106,10 +114,10 @@ def verdict(parent, change, direction, bound, failed_share):
     if (10 * wins >= 9 * pairs and better(cmed, pmed, direction)
             and abs(cmed - pmed) > iqr and failed_share[1] <= failed_share[0]):
         v = "gain"
-    elif worse > bound:
-        v = "regression"
     elif pmed and iqr / abs(pmed) > bound and not every_run_better:
         v = "unresolved"
+    elif worse > bound:
+        v = "regression"
     else:
         v = "unchanged"
     return {
@@ -166,18 +174,54 @@ def table(workload, summary):
     return rows
 
 
+def cpu_jiffies(text):
+    """(steal, total) jiffies of the `cpu` line of /proc/stat text. The total
+    sums user through steal; guest time is already inside user and nice."""
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "cpu":
+            v = [int(x) for x in fields[1:9]]
+            v += [0] * (8 - len(v))
+            return v[7], sum(v)
+    raise ValueError("no cpu line in /proc/stat")
+
+
+def stat_sample():
+    """cpu_jiffies() of PROC_STAT now, or None where it cannot be read."""
+    try:
+        with open(PROC_STAT) as f:
+            return cpu_jiffies(f.read())
+    except OSError:
+        return None
+
+
+def steal_share(before, after):
+    """The steal share of the jiffies between two samples, or None."""
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return (after[0] - before[0]) / (after[1] - before[1])
+
+
+def median_steal(shares):
+    known = [s for s in shares if s is not None]
+    return f"{statistics.median(known):.3f}" if known else "n/a"
+
+
 def run_side(checkout, workload, seed, seconds):
-    """Runs perfbench once in `checkout` and returns parse_output()'s dict."""
+    """Runs perfbench once in `checkout` and returns parse_output()'s dict,
+    plus the run's steal share under "steal"."""
     env = dict(os.environ)
     env.pop("CARGO_TARGET_DIR", None)  # each side builds in its own checkout
+    before = stat_sample()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    after = stat_sample()
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench failed in {checkout} "
                            f"(exit {proc.returncode})")
-    return parse_output(proc.stdout)
+    return dict(parse_output(proc.stdout), steal=steal_share(before, after))
 
 
 def write_out(path, results):
@@ -216,7 +260,7 @@ def main(argv=None):
         ap.error("--pairs must be at least 1")
     sides = {"parent": args.parent, "change": args.change}
 
-    results, rows, bad = [], [], False
+    results, rows, notes, bad = [], [], [], False
     for w in workloads:
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -231,13 +275,18 @@ def main(argv=None):
                       file=sys.stderr, flush=True)
         summary = summarize(runs["parent"], runs["change"], specs)
         rows += table(w, summary)
-        bad = bad or any(m["verdict"] == "regression"
+        steal = {s: [r["steal"] for r in runs[s]] for s in sides}
+        notes.append(f"{w}: median steal share per run, parent "
+                     f"{median_steal(steal['parent'])}, change "
+                     f"{median_steal(steal['change'])}")
+        bad = bad or any(m["verdict"] in ("regression", "unresolved")
                          for m in summary["metrics"].values())
         bad = bad or any(summary["rounds"][s]["failed"] for s in sides)
         results.append({
             "workload": w, "seed": args.seed, "pairs": args.pairs,
             "run_seconds": seconds,
             "stamps": {s: runs[s][0]["stamp"] for s in sides},
+            "steal": steal,
             **summary,
         })
 
@@ -248,6 +297,8 @@ def main(argv=None):
           "[q1, q3] | change/parent | change better | verdict |")
     print("|---|---|---|---|---|---|---|")
     print("\n".join(rows))
+    print()
+    print("\n".join(notes))
     if args.out:
         write_out(args.out, results)
     return 1 if bad else 0

@@ -3,10 +3,12 @@
 
 Every case runs on canned perfbench output, so nothing is built or timed:
 a planted 10% `run_s` gain reads as a gain, the parent against itself reads
-as neither a gain nor a regression, a planted 30% `peak_rss_mb` rise reads
-as a regression, and a metric whose parent IQR exceeds its bound reads as
-unresolved. A last case drives the whole tool over two stub checkouts and
-checks the alternation, the run length and the --out file.
+as neither a gain nor a regression, a planted 30% `peak_rss_mb` rise over a
+tight parent reads as a regression, and a metric whose parent IQR exceeds
+its bound reads as unresolved, also when the change is 30% worse. The steal
+share is parsed from canned /proc/stat text. A last case drives the whole
+tool over two stub checkouts and checks the alternation, the run length,
+the steal shares and the --out file.
 """
 
 import contextlib
@@ -92,10 +94,52 @@ class Verdicts(unittest.TestCase):
         self.assertGreater(tail["parent_iqr_frac"], tail["bound"])
         self.assertEqual(tail["verdict"], "unresolved")
 
+    def test_wide_parent_spread_is_unresolved_even_when_change_is_worse(self):
+        # Parent IQR 0.5 of its median; every change run 30% worse.
+        spread = [0.5 + i / 9 for i in range(10)]
+        parent = [perfbench_ab.parse_output(canned(
+            {k: v * f for k, v in BASE.items()})) for f in spread]
+        change = [perfbench_ab.parse_output(canned(
+            {k: v * f * 1.3 for k, v in BASE.items()})) for f in spread]
+        run_s = perfbench_ab.summarize(parent, change, SPECS)["metrics"]["run_s"]
+        self.assertAlmostEqual(run_s["parent_iqr_frac"], 0.5)
+        self.assertAlmostEqual(run_s["ratio"], 1.3)
+        self.assertEqual(run_s["verdict"], "unresolved")
+
     def test_wins_count_strictly_better_pairs_only(self):
         same = draws(random.Random(4), 10, spread=0.0)
         m = perfbench_ab.summarize(same, same, SPECS)["metrics"]["run_s"]
         self.assertEqual((m["wins"], m["verdict"]), (0, "unchanged"))
+
+
+STAT = """cpu  {user} 0 1000 {idle} 50 0 20 {steal} 300 0
+cpu0 100 0 10 2000 5 0 2 {steal} 0 0
+intr 12345
+"""
+
+
+class Steal(unittest.TestCase):
+    def test_parses_the_cpu_line_of_proc_stat(self):
+        text = STAT.format(user=5000, idle=90000, steal=400)
+        # user + nice + system + idle + iowait + irq + softirq + steal;
+        # guest (300) is already inside user.
+        self.assertEqual(perfbench_ab.cpu_jiffies(text),
+                         (400, 5000 + 1000 + 90000 + 50 + 20 + 400))
+
+    def test_share_is_steal_over_all_jiffies_between_samples(self):
+        before = perfbench_ab.cpu_jiffies(
+            STAT.format(user=5000, idle=90000, steal=400))
+        after = perfbench_ab.cpu_jiffies(
+            STAT.format(user=5600, idle=90300, steal=500))
+        self.assertAlmostEqual(perfbench_ab.steal_share(before, after),
+                               100 / (600 + 300 + 100))
+
+    def test_missing_proc_stat_reads_as_none(self):
+        with mock.patch.object(perfbench_ab, "PROC_STAT",
+                               os.path.join(HERE, "no-such-stat")):
+            self.assertIsNone(perfbench_ab.stat_sample())
+        self.assertIsNone(perfbench_ab.steal_share(None, (1, 2)))
+        self.assertEqual(perfbench_ab.median_steal([None, None]), "n/a")
 
 
 STUB = """import os, sys
@@ -125,7 +169,11 @@ class EndToEnd(unittest.TestCase):
                     "--workload", "cholesky", "--pairs", "4", "--seed", "7",
                     "--out", out]
             printed = io.StringIO()
+            # Each run reads the stat twice; every run here sees 10% steal.
+            samples = [(10 * i, 100 * i) for i in range(16)]
             with mock.patch.dict(os.environ, {"AB_LOG": log}), \
+                    mock.patch.object(perfbench_ab, "stat_sample",
+                                      side_effect=samples), \
                     contextlib.redirect_stdout(printed), \
                     contextlib.redirect_stderr(io.StringIO()):
                 self.assertEqual(perfbench_ab.main(argv), 0)
@@ -139,6 +187,8 @@ class EndToEnd(unittest.TestCase):
                                           "7", "--seconds", str(SECONDS),
                                           "--trace", "0"])
             self.assertIn("| cholesky | run_s |", printed.getvalue())
+            self.assertIn("cholesky: median steal share per run, parent "
+                          "0.100, change 0.100", printed.getvalue())
 
             with open(out) as f:
                 doc = json.load(f)
@@ -150,6 +200,8 @@ class EndToEnd(unittest.TestCase):
             self.assertEqual(res["metrics"]["run_s"]["verdict"], "gain")
             self.assertEqual(res["rounds"]["change"],
                              {"failed": 0, "attempted": 800})
+            self.assertEqual(res["steal"], {"parent": [0.1] * 4,
+                                            "change": [0.1] * 4})
 
 
 if __name__ == "__main__":
