@@ -1,8 +1,10 @@
-// BLAS substrate validation: every kernel of ref and of both widths of the
-// tuned table against a double-precision naive oracle, across block sizes
-// including awkward odd ones; algebraic properties (potrf reconstruction,
-// trsm inverse); bit-exactness between the tables; and the threaded-BLAS
-// baselines against sequential results.
+// BLAS substrate validation: every kernel of ref and of the three widths of
+// the tuned table against a double-precision naive oracle, across block
+// sizes including awkward odd ones; algebraic properties (potrf
+// reconstruction, trsm inverse); bit-exactness between the tables and of
+// trsm against its element order; and the threaded-BLAS baselines against
+// sequential results. CMake compiles this file with -ffp-contract=off, so
+// the scalar order oracle rounds every multiply and subtract on its own.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -51,20 +53,26 @@ float max_diff(const std::vector<float>& a, const std::vector<float>& b) {
 }
 
 // Block sizes: awkward odd ones; 6 and 96, multiples of the 8-lane table's
-// 6-row tile (96 = 6 x 16 has no edge at all); and 127..129 around the
-// benchmarks' 128 tile. Together they reach every edge path of both tuned
-// tables' tiles (4x8 and 6x16) and of their 4- and 8-wide row updates.
-constexpr int kSizes[] = {1,  2,  3,  5,  6,  8,   16,  17,
-                          31, 32, 33, 64, 96, 127, 128, 129};
+// 6-row tile (96 = 6 x 16 has no edge at all); 127..129 around the
+// benchmarks' 128 tile; and 24, 40, 48, 80 and 160, multiples of 8 that
+// still leave an edge: a short last 32-column panel (all but 160), a short
+// 16-row trsm triangle (24, 40) or a short 6-row tile (40, 80, 160).
+// Together they reach every edge path of the three tuned tables' tiles
+// (4x8, 6x16, 8x32), of their trsm triangles (4, 8 and 16 rows) and of
+// potrf's row update.
+constexpr int kSizes[] = {1,  2,  3,  5,  6,  8,   16,  17,  24,  31, 32,
+                          33, 40, 48, 64, 80, 96, 127, 128, 129, 160};
 
-// The kernel tables under test: ref, and both widths of the tuned table.
-enum class Table { Ref, Lanes4, Lanes8 };
+// The kernel tables under test: ref, and the three widths of the tuned
+// table.
+enum class Table { Ref, Lanes4, Lanes8, Lanes16 };
 
 const char* to_string(Table t) {
   switch (t) {
     case Table::Ref: return "ref";
     case Table::Lanes4: return "lanes4";
     case Table::Lanes8: return "lanes8";
+    case Table::Lanes16: return "lanes16";
   }
   return "?";
 }
@@ -77,12 +85,19 @@ const blas::Kernels* table(Table t) {
     case Table::Ref: return &blas::ref_kernels();
     case Table::Lanes4: return &blas::tuned_lanes4_kernels();
     case Table::Lanes8: return blas::tuned_lanes8_kernels();
+    case Table::Lanes16: return blas::tuned_lanes16_kernels();
   }
   return nullptr;
 }
 
-constexpr const char* kNoAvx2 =
-    "the 8-lane table needs AVX2, which this CPU (or non-x86 build) lacks";
+/// Why table(t) is nullptr.
+const char* missing(Table t) {
+  return t == Table::Lanes16
+             ? "the 16-lane table needs AVX-512F, which this CPU (or non-x86 "
+               "build) lacks"
+             : "the 8-lane table needs AVX2, which this CPU (or non-x86 "
+               "build) lacks";
+}
 
 using KParam = std::tuple<Table, int>;  // table, block size
 
@@ -90,7 +105,7 @@ class KernelSuite : public ::testing::TestWithParam<KParam> {
  protected:
   void SetUp() override {
     kernels_ = table(std::get<0>(GetParam()));
-    if (kernels_ == nullptr) GTEST_SKIP() << kNoAvx2;
+    if (kernels_ == nullptr) GTEST_SKIP() << missing(std::get<0>(GetParam()));
   }
   const blas::Kernels& k() const { return *kernels_; }
   int m() const { return std::get<1>(GetParam()); }
@@ -198,7 +213,7 @@ TEST_P(KernelSuite, AddSub) {
 INSTANTIATE_TEST_SUITE_P(
     VariantsAndSizes, KernelSuite,
     ::testing::Combine(::testing::Values(Table::Ref, Table::Lanes4,
-                                         Table::Lanes8),
+                                         Table::Lanes8, Table::Lanes16),
                        ::testing::ValuesIn(kSizes)),
     [](const auto& info) {
       return std::string(to_string(std::get<0>(info.param))) + "_m" +
@@ -240,76 +255,108 @@ std::vector<std::pair<const char*, std::vector<float>>> all_outputs(
   return out;
 }
 
-class KernelVariants : public ::testing::TestWithParam<Table> {};
+class KernelVariants : public ::testing::TestWithParam<Table> {
+ protected:
+  void SetUp() override {
+    kernels_ = table(GetParam());
+    if (kernels_ == nullptr) GTEST_SKIP() << missing(GetParam());
+  }
+  const blas::Kernels& tuned() const { return *kernels_; }
+
+ private:
+  const blas::Kernels* kernels_ = nullptr;
+};
 
 // gemm_nt_minus, syrk_ln_minus and potrf_ln keep ref's per-element operation
-// order at either width, so their outputs must match it bit for bit.
+// order at every width, so their outputs must match it bit for bit.
 // trsm_rltn multiplies by 1/L[j][j] where ref divides, so it only agrees
-// within rounding. The 8-lane table must also match the 4-lane one bit for
-// bit on all seven kernels: only the vector width differs between them.
+// within rounding. The 8- and 16-lane tables must also match the 4-lane one
+// bit for bit on all seven kernels: only the vector width differs between
+// them.
 TEST_P(KernelVariants, TunedAgreesWithRef) {
-  const blas::Kernels* under_test = table(GetParam());
-  if (under_test == nullptr) GTEST_SKIP() << kNoAvx2;
   const blas::Kernels& ref = blas::ref_kernels();
-  const blas::Kernels& tuned = *under_test;
   for (int m : kSizes) {
     SCOPED_TRACE(m);
     auto a = random_block(m, 20), b = random_block(m, 21);
     const auto c = random_block(m, 22);
     auto c1 = c, c2 = c;
     ref.gemm_nt_minus(m, a.data(), b.data(), c1.data());
-    tuned.gemm_nt_minus(m, a.data(), b.data(), c2.data());
+    tuned().gemm_nt_minus(m, a.data(), b.data(), c2.data());
     EXPECT_TRUE(bit_equal(c1, c2)) << "gemm_nt_minus";
 
     c1 = c;
     c2 = c;
     ref.syrk_ln_minus(m, a.data(), c1.data());
-    tuned.syrk_ln_minus(m, a.data(), c2.data());
+    tuned().syrk_ln_minus(m, a.data(), c2.data());
     EXPECT_TRUE(bit_equal(c1, c2)) << "syrk_ln_minus";
 
     auto l1 = spd_block(m, 23);
     auto l2 = l1;
     ASSERT_EQ(ref.potrf_ln(m, l1.data()), 0);
-    ASSERT_EQ(tuned.potrf_ln(m, l2.data()), 0);
+    ASSERT_EQ(tuned().potrf_ln(m, l2.data()), 0);
     EXPECT_TRUE(bit_equal(l1, l2)) << "potrf_ln";
 
     auto x1 = random_block(m, 24);
     auto x2 = x1;
     ref.trsm_rltn(m, l1.data(), x1.data());
-    tuned.trsm_rltn(m, l1.data(), x2.data());
+    tuned().trsm_rltn(m, l1.data(), x2.data());
     EXPECT_LE(max_diff(x1, x2), 1e-3f * static_cast<float>(m)) << "trsm_rltn";
 
-    if (GetParam() != Table::Lanes8) continue;
+    if (GetParam() == Table::Lanes4) continue;
     const auto narrow_out = all_outputs(blas::tuned_lanes4_kernels(), m);
-    const auto wide_out = all_outputs(tuned, m);
+    const auto wide_out = all_outputs(tuned(), m);
     for (std::size_t i = 0; i < narrow_out.size(); ++i)
       EXPECT_TRUE(bit_equal(narrow_out[i].second, wide_out[i].second))
           << narrow_out[i].first;
   }
 }
 
+// trsm_rltn solves on register tiles, but each entry must still take the
+// plain loop's operations in its order: x[q] -= x[k] * L[q][k] in ascending
+// k, then x[q] *= 1/L[q][q].
+TEST_P(KernelVariants, TrsmKeepsTheElementOrder) {
+  for (int m : kSizes) {
+    SCOPED_TRACE(m);
+    auto l = spd_block(m, 25);
+    ASSERT_EQ(blas::ref_kernels().potrf_ln(m, l.data()), 0);
+    auto expect = random_block(m, 26);
+    auto x = expect;
+    for (int i = 0; i < m; ++i) {
+      float* xi = expect.data() + i * m;
+      for (int q = 0; q < m; ++q) {
+        for (int kk = 0; kk < q; ++kk) xi[q] -= xi[kk] * l[q * m + kk];
+        xi[q] *= 1.0f / l[q * m + q];
+      }
+    }
+    tuned().trsm_rltn(m, l.data(), x.data());
+    EXPECT_TRUE(bit_equal(x, expect));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(TunedTables, KernelVariants,
-                         ::testing::Values(Table::Lanes4, Table::Lanes8),
+                         ::testing::Values(Table::Lanes4, Table::Lanes8,
+                                           Table::Lanes16),
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
 
-// The process runs the 8-lane table wherever the CPU has AVX2. The line it
-// prints tells a CI log which table the other suites' apps ran.
-TEST(TunedKernels, IsTheEightLaneTableWhenTheCpuHasAvx2) {
+// The process runs the widest table the CPU runs. The line it prints tells
+// a CI log which table the other suites' apps ran.
+TEST(TunedKernels, IsTheWidestTableTheCpuRuns) {
   const blas::Kernels& chosen = blas::tuned_kernels();
-  bool avx2 = false;
+  bool avx2 = false, avx512f = false;
 #if defined(__x86_64__) || defined(__i386__)
   avx2 = __builtin_cpu_supports("avx2");
+  avx512f = __builtin_cpu_supports("avx512f");
 #endif
-  std::printf("tuned_kernels() is \"%s\" (CPU %s AVX2)\n", chosen.name,
-              avx2 ? "has" : "lacks");
-  if (avx2) {
-    ASSERT_NE(blas::tuned_lanes8_kernels(), nullptr);
-    EXPECT_EQ(&chosen, blas::tuned_lanes8_kernels());
-  } else {
-    EXPECT_EQ(&chosen, &blas::tuned_lanes4_kernels());
-  }
+  std::printf("tuned_kernels() is \"%s\" (CPU %s AVX-512F, %s AVX2)\n",
+              chosen.name, avx512f ? "has" : "lacks", avx2 ? "has" : "lacks");
+  EXPECT_EQ(blas::tuned_lanes16_kernels() != nullptr, avx512f);
+  EXPECT_EQ(blas::tuned_lanes8_kernels() != nullptr, avx2);
+  const blas::Kernels* widest = avx512f ? blas::tuned_lanes16_kernels()
+                                : avx2  ? blas::tuned_lanes8_kernels()
+                                        : &blas::tuned_lanes4_kernels();
+  EXPECT_EQ(&chosen, widest);
 }
 
 // --- Threaded baselines -----------------------------------------------------------
