@@ -2,7 +2,7 @@
 // every table this CPU runs (ref, and the tuned table at 4, 8 and 16 lanes),
 // on one thread, at perfbench's tile (m = 128) and fig08's block sizes
 // 32…512. Not part of the CI gate; it measures the layer that Figs. 8–11
-// put under the runtime.
+// put under the runtime. The GFLOP counter is a rate: "GFLOP=56.1/s".
 //
 //     ./build/bench/blas_kernels --benchmark_filter='lanes16/.*/128'
 //
@@ -10,38 +10,17 @@
 // potrf work in place, and repeated solves would drift into denormals.
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <string>
-#include <vector>
 
 #include "blas/kernels.hpp"
 #include "blas/tuned_paths.hpp"
-#include "common/rng.hpp"
 #include "common/timing.hpp"
+#include "hyper/flat_matrix.hpp"
 
 namespace {
 
 using namespace smpss;
-
-std::vector<float> random_block(int m, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<float> b(static_cast<std::size_t>(m) * m);
-  for (auto& v : b) v = 2.0f * rng.next_float() - 1.0f;
-  return b;
-}
-
-/// A lower Cholesky factor: potrf's input is r r^T / m + 2 I.
-std::vector<float> spd_block(int m, std::uint64_t seed) {
-  const auto r = random_block(m, seed);
-  std::vector<float> a(static_cast<std::size_t>(m) * m);
-  for (int i = 0; i < m; ++i)
-    for (int j = 0; j < m; ++j) {
-      double acc = 0;
-      for (int k = 0; k < m; ++k)
-        acc += static_cast<double>(r[i * m + k]) * r[j * m + k];
-      a[i * m + j] = static_cast<float>(acc / m) + (i == j ? 2.0f : 0.0f);
-    }
-  return a;
-}
 
 enum class Op { GemmNt, GemmNn, Syrk, Trsm, Potrf, Add, Sub };
 
@@ -72,16 +51,16 @@ double flops(Op op, double m) {
 
 void BM_Kernel(benchmark::State& state, const blas::Kernels* k, Op op) {
   const int m = static_cast<int>(state.range(0));
-  const auto a = random_block(m, 1), b = random_block(m, 2),
-             c = random_block(m, 3), spd = spd_block(m, 4);
-  auto l = spd;
-  if (blas::ref_kernels().potrf_ln(m, l.data()) != 0) {
-    state.SkipWithError("trsm's factor is not SPD");
-    return;
-  }
-  std::vector<float> out;
+  FlatMatrix a(m), b(m), c(m), spd(m), out(m);
+  fill_random(a, 1);
+  fill_random(b, 2);
+  fill_random(c, 3);
+  fill_spd(spd, 4);
+  FlatMatrix l(spd);
+  blas::ref_kernels().potrf_ln(m, l.data());  // trsm's L
+  const FlatMatrix& in = op == Op::Trsm ? a : op == Op::Potrf ? spd : c;
   for (auto _ : state) {
-    out = op == Op::Trsm ? a : op == Op::Potrf ? spd : c;
+    std::memcpy(out.data(), in.data(), in.bytes());
     const auto t0 = now_ns();
     switch (op) {
       case Op::GemmNt: k->gemm_nt_minus(m, a.data(), b.data(), out.data()); break;
@@ -92,10 +71,11 @@ void BM_Kernel(benchmark::State& state, const blas::Kernels* k, Op op) {
       case Op::Add: k->add(m, a.data(), b.data(), out.data()); break;
       case Op::Sub: k->sub(m, a.data(), b.data(), out.data()); break;
     }
-    state.SetIterationTime(seconds_between(t0, now_ns()));
+    benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
+    state.SetIterationTime(seconds_between(t0, now_ns()));
   }
-  state.counters["GFLOP/s"] = benchmark::Counter(
+  state.counters["GFLOP"] = benchmark::Counter(
       flops(op, m) / 1e9, benchmark::Counter::kIsIterationInvariantRate);
 }
 

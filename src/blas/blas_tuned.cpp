@@ -12,7 +12,8 @@
 //     width at a time. The tile is 4x8 at 4 lanes, 6x16 at 8 lanes (12
 //     accumulators, 2 panel vectors and 1 broadcast in 15 of the 16 ymm
 //     registers) and 8x32 at 16 lanes (19 of the 32 zmm registers; 6, 8, 12
-//     and 14 rows measured alike, and 8 divides every power-of-two block);
+//     and 14 rows ran alike on a 4-vCPU AVX-512F Xeon, and 8 divides every
+//     power-of-two block);
 //   - trsm is left-looking: for each block of two vectors' width of columns
 //     of X, the micro-kernel takes the final columns k < q0 off the tile in
 //     place, and the diagonal triangle is then solved for a vector's width
