@@ -11,8 +11,8 @@
 //
 // Both rows produce bit-identical ranks (fixed-point integer arithmetic);
 // every iteration is checked against the sequential oracle, so the speedup
-// is never bought with a wrong answer. tools/bench_compare.py gates
-// BENCH_commutative.json like every other bench artifact.
+// is never bought with a wrong answer. CI's perf gate runs it against the
+// parent commit like the other gated benches (docs/BENCHMARKS.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

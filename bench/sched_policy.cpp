@@ -11,9 +11,10 @@
 // Bodies carry a compute grain: with empty bodies the run measures pure
 // enqueue/dequeue overhead, not placement. Each row reports tasks/s plus
 // steals_per_ktask and locality_hit_ratio (the share of own-list placements
-// that ran on the worker they were placed toward). The row names keep their
-// `_paper` suffix so cached baselines keep matching; tools/bench_compare.py
-// gates BENCH_sched.json at 20%.
+// that ran on the worker they were placed toward). CI's perf gate runs it
+// against the parent commit (tools/perfbench_ab.py --bench sched_policy).
+// The rows keep their `_paper` suffix: a renamed row reads `new` there and
+// goes ungated for the change that renames it.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

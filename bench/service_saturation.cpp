@@ -14,12 +14,10 @@
 //     concurrent analyzers.
 //
 // Counters: tasks_per_s (end-to-end rate), p50_ns / p99_ns (submit-to-retire
-// latency over every stream's histogram, merged by Runtime::stats()). The CI
-// bench runner serializes this into BENCH_service.json and bench_compare
-// gates both the median throughput and the p99 tail:
-//
-//   ./bench/service_saturation --benchmark_out=BENCH_service.json \
-//       --benchmark_out_format=json
+// latency over every stream's histogram, merged by Runtime::stats()). CI's
+// perf gate runs it against the parent commit in alternating pairs and
+// gates both the throughput and the p99 tail (tools/perfbench_ab.py --bench
+// service_saturation; docs/BENCHMARKS.md).
 #include <benchmark/benchmark.h>
 
 #include <chrono>

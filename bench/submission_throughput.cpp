@@ -8,11 +8,8 @@
 // second of wall time, end to end (analysis + scheduling + execution of
 // trivial bodies).
 //
-// The CI bench runner serializes this into BENCH_submission.json
-// (tasks/sec per submitter count) as a perf-trajectory artifact:
-//
-//   ./bench/submission_throughput --benchmark_out=BENCH_submission.json \
-//       --benchmark_out_format=json
+// CI's perf gate runs it against the parent commit in alternating pairs
+// (tools/perfbench_ab.py --bench submission_throughput; docs/BENCHMARKS.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -42,8 +39,8 @@ void run_submission_round(smpss::Runtime& rt, int submitters,
   rt.barrier();
 }
 
-// The series keeps its historical name so the cached bench baselines
-// (tools/bench_compare.py) still pair with it.
+// The series keeps its historical name: a renamed row reads `new` in the
+// perf gate and goes ungated for the change that renames it.
 void BM_SpawnThroughput_Lockfree(benchmark::State& state) {
   const int submitters = static_cast<int>(state.range(0));
   smpss::Config cfg;

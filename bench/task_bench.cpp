@@ -14,10 +14,9 @@
 //   * baseline — what the dependency analysis costs relative to runtimes
 //     that make the *program* synchronize (a barrier per timestep).
 //
-// CI serializes this into BENCH_patterns.json; tools/bench_compare.py diffs
-// the per-benchmark medians against the cached main baseline and fails the
-// run on >20% regression, so every future analyzer/scheduler change is
-// gated against every pattern family here.
+// CI's perf gate runs it against the parent commit in alternating pairs
+// (tools/perfbench_ab.py --bench task_bench; docs/BENCHMARKS.md), so every
+// analyzer/scheduler change is gated against every pattern family here.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

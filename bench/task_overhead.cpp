@@ -1,7 +1,7 @@
 // Per-task overhead microbench for the retire-side fast path: spawn+retire
 // latency with near-empty bodies, isolating what the runtime itself costs
 // per task. Three shapes, each stressing one layer of the completion-side
-// path, so CI's bench-compare gate tracks every layer separately:
+// path, so CI's perf gate tracks every layer separately:
 //
 //   * independent  — N tasks with no edges: pure spawn/retire churn on the
 //     pooled TaskNode/closure storage.
@@ -17,8 +17,8 @@
 //     measures the submitter's own cost per spawn and what it shares with
 //     the workers retiring earlier tasks.
 //
-// CI serializes this into BENCH_task_overhead.json next to the submission
-// bench; tools/bench_compare.py diffs both against the cached main baseline.
+// CI's perf gate runs it against the parent commit in alternating pairs
+// (tools/perfbench_ab.py --bench task_overhead; docs/BENCHMARKS.md).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -124,10 +124,6 @@ class SlabPool {
     return s;
   }
 
-  std::size_t block_payload_capacity() const noexcept {
-    return stride_ - payload_offset_;
-  }
-
  private:
   /// Lives at the front of every block. `next` links the block through
   /// whichever free list currently holds it (local lists use relaxed

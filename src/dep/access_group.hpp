@@ -54,7 +54,7 @@ struct AccessGroup {
     if (privates) {
       for (unsigned i = 0; i < nworkers; ++i)
         if (void* p = privates[i].load(std::memory_order_relaxed))
-          pool->deallocate(p, bytes, nullptr);
+          pool->deallocate(p, bytes);
       delete[] privates;
     }
     if (prev) prev->release(*pool);
@@ -118,7 +118,7 @@ struct AccessGroup {
     SMPSS_ASSERT(tid < nworkers);
     void* p = privates[tid].load(std::memory_order_relaxed);
     if (p == nullptr) {
-      p = pool->allocate(bytes, nullptr);
+      p = pool->allocate(bytes);
       op.init(p, bytes);
       privates[tid].store(p, std::memory_order_release);
     }
@@ -132,7 +132,7 @@ struct AccessGroup {
       if (void* p = privates[i].exchange(nullptr,
                                          std::memory_order_acquire)) {
         op.combine(master, p, bytes);
-        pool->deallocate(p, bytes, nullptr);
+        pool->deallocate(p, bytes);
       }
     }
   }

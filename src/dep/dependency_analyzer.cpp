@@ -95,39 +95,6 @@ DataEntry& DependencyAnalyzer::entry_for(CounterStripe& st, unsigned slot,
   }
 }
 
-void DependencyAnalyzer::add_edge(CounterStripe& st, TaskNode* pred,
-                                  TaskNode* succ, EdgeKind kind) {
-  SMPSS_ASSERT(pred != succ);
-  // Release-side fast path: a predecessor whose completion hint is already
-  // visible can never accept a new successor — the hint is the successor
-  // stack's closed sentinel, so a true hint means add_successor would
-  // refuse. Skipping it here keeps the retired producer's stack word
-  // untouched (no RMW on a cold cache line) for the common re-read of
-  // long-finished data.
-  if (pred->finished_hint()) return;
-  if (!pred->add_successor(succ)) return;  // predecessor already completed
-  switch (kind) {
-    case EdgeKind::True:
-      st.raw_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Anti:
-      st.war_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Output:
-      st.waw_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Member:
-      st.commute_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
-  if (recorder_) recorder_->record_edge(pred->seq, succ->seq, kind);
-  // Per-stream accounting: edges are charged to the *successor* (the task
-  // whose submission discovered the dependence) — that is the stream whose
-  // traffic created the analyzer work.
-  if (succ->account)
-    succ->account->edges.fetch_add(1, std::memory_order_relaxed);
-}
-
 Version* DependencyAnalyzer::pin_latest(CounterStripe& st, DataEntry& e) {
   while (true) {
     Version* v = e.latest.load(std::memory_order_acquire);
@@ -149,8 +116,6 @@ void* DependencyAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   SMPSS_ASSERT(!access.has_region);  // region accesses go to RegionAnalyzer
   const unsigned slot = task->submit_slot;
   CounterStripe& st = stripe_for(slot);
-  if (task->account)
-    task->account->accesses.fetch_add(1, std::memory_order_relaxed);
   DataEntry& e = entry_for(st, slot, access.addr, access.bytes);
   switch (access.dir) {
     case Dir::In:
@@ -191,7 +156,7 @@ void* DependencyAnalyzer::process_read(CounterStripe& st, TaskNode* task,
               "task declares a larger input size than the renamed version "
               "holds — inconsistent parameter sizes on one datum");
   if (!available_to(task, v)) {
-    add_edge(st, v->producer(), task, EdgeKind::True);
+    wire_edge(st, recorder_, v->producer(), task, EdgeKind::True);
   }
   task->reads.push_back(v);
   return s;
@@ -231,7 +196,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
   // its successor (immediate chaining) instead of retiring first and
   // leaving it ready at creation, a ready-list round trip per task.
   if (also_reads && !available_to(task, v)) {
-    add_edge(st, v->producer(), task, EdgeKind::True);
+    wire_edge(st, recorder_, v->producer(), task, EdgeKind::True);
   }
   // Our predecessor may itself still be storage-unresolved (its writer is
   // mid-decision); every field read below needs it finalized.
@@ -257,7 +222,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
 
   void* storage = nullptr;
   bool renamed = false;
-  SubmitterAccount* acct = nullptr;
 
   if (renaming_) {
     // Renaming configuration: never block on WAR/WAW — either reuse the old
@@ -287,9 +251,6 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
       // alone.
       storage = v->storage();
       renamed = v->renamed();
-      // In-place reuse moves buffer ownership — and with it the stream
-      // charge: the credit must go to whichever account paid for the bytes.
-      acct = v->account();
       v->disown_storage();  // ownership moves to the new version
       st.in_place_reuses.fetch_add(1, std::memory_order_relaxed);
       // In-place merge is free: tail bytes beyond `bytes` (if any) are
@@ -303,8 +264,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
         v->add_ref();
         e.user_tail.store(v, std::memory_order_release);
       }
-      acct = task->account;
-      storage = pool_.allocate(ext, acct);
+      storage = pool_.allocate(ext);
       renamed = true;
       // Bytes the new version must inherit from the predecessor: everything
       // for an inout (the body starts from the old value), the tail beyond
@@ -314,7 +274,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
         if (!also_reads && !available_to(task, v)) {
           // The inherited tail is a true dependence on the old producer even
           // though the body itself never reads it.
-          add_edge(st, v->producer(), task, EdgeKind::True);
+          wire_edge(st, recorder_, v->producer(), task, EdgeKind::True);
         }
         // Register as reader (keeps the old version's storage alive until
         // this task completes) and schedule the byte copy. v is stable (we
@@ -352,11 +312,11 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
     // reader-task list is stable: submissions are serialized in this
     // configuration.
     if (!available_to(task, v)) {
-      add_edge(st, v->producer(), task, EdgeKind::Output);
+      wire_edge(st, recorder_, v->producer(), task, EdgeKind::Output);
     }
     for (TaskNode* r : v->reader_tasks()) {
       if (r != task && !r->finished_hint() && !task->has_ancestor(r)) {
-        add_edge(st, r, task, EdgeKind::Anti);
+        wire_edge(st, recorder_, r, task, EdgeKind::Anti);
       }
     }
     storage = v->storage();
@@ -374,7 +334,7 @@ void* DependencyAnalyzer::process_write(CounterStripe& st, unsigned slot,
 
   // Resolve v2: readers pinned on it are spinning in storage_wait() for
   // exactly this release.
-  v2->finalize_storage(storage, ext, renamed, acct);
+  v2->finalize_storage(storage, ext, renamed);
 
   task->produces.push_back(v2);
   // The latest-token the CAS transferred to us is dropped at this task's
@@ -479,7 +439,7 @@ void DependencyAnalyzer::join_member(CounterStripe& st, TaskNode* task,
     // after the superseded version's producer (RAW on the inherited value —
     // also covers in-place reuse of unproduced storage) …
     if (prev != nullptr && !available_to(task, prev)) {
-      add_edge(st, prev->producer(), task, EdgeKind::True);
+      wire_edge(st, recorder_, prev->producer(), task, EdgeKind::True);
     }
     // … and, with renaming off (in-place in user storage), after its still-
     // pending readers. Mutual exclusion among members is not an edge at all:
@@ -487,7 +447,7 @@ void DependencyAnalyzer::join_member(CounterStripe& st, TaskNode* task,
     if (!renaming_ && prev != nullptr) {
       for (TaskNode* r : prev->reader_tasks()) {
         if (r != task && !r->finished_hint() && !task->has_ancestor(r)) {
-          add_edge(st, r, task, EdgeKind::Anti);
+          wire_edge(st, recorder_, r, task, EdgeKind::Anti);
         }
       }
     }
@@ -512,7 +472,7 @@ void DependencyAnalyzer::join_member(CounterStripe& st, TaskNode* task,
   st.group_joins.fetch_add(1, std::memory_order_relaxed);
   // The Member edge is the close node's completion count — not an ordering
   // constraint on the member.
-  add_edge(st, task, g->close, EdgeKind::Member);
+  wire_edge(st, recorder_, task, g->close, EdgeKind::Member);
 }
 
 void DependencyAnalyzer::seal_group(CounterStripe& st, AccessGroup* g) {
@@ -635,17 +595,6 @@ DependencyAnalyzer::CopyBack DependencyAnalyzer::try_copy_back(
   }
   v->reader_finished(pool_);
   return ready ? CopyBack::kDone : CopyBack::kNotReady;
-}
-
-std::size_t DependencyAnalyzer::live_entries() const noexcept {
-  std::size_t n = 0;
-  for (unsigned b = 0; b < kBuckets; ++b) {
-    for (DataEntry* p = buckets_[b].load(std::memory_order_acquire);
-         p != nullptr; p = p->next.load(std::memory_order_acquire)) {
-      ++n;
-    }
-  }
-  return n;
 }
 
 }  // namespace smpss

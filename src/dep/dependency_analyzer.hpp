@@ -141,8 +141,6 @@ class DependencyAnalyzer {
     for (unsigned i = 0; i < kStripes; ++i) stripes_[i].add_to(out);
   }
 
-  std::size_t live_entries() const noexcept;
-
  private:
   /// Per-submitting-thread counter stripe: no shared cache line between
   /// concurrent submitters.
@@ -174,8 +172,6 @@ class DependencyAnalyzer {
 
   DataEntry& entry_for(CounterStripe& st, unsigned slot, void* addr,
                        std::size_t bytes);
-  void add_edge(CounterStripe& st, TaskNode* pred, TaskNode* succ,
-                EdgeKind kind);
   /// Speculatively pin the chain head as a reader: register (count + ref)
   /// first, then validate `latest` is unchanged; on a lost race the
   /// registration is aborted (net-zero even on a recycled block) and the

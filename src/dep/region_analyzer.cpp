@@ -2,31 +2,7 @@
 
 #include <algorithm>
 
-#include "dep/renaming.hpp"
-
 namespace smpss {
-
-void RegionAnalyzer::add_edge(TaskNode* pred, TaskNode* succ, EdgeKind kind) {
-  if (pred->finished_hint()) return;  // finished: can't take successors
-  if (!pred->add_successor(succ)) return;
-  switch (kind) {
-    case EdgeKind::True:
-      counters_.raw_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Anti:
-      counters_.war_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Output:
-      counters_.waw_edges.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EdgeKind::Member: break;  // never emitted by the region analyzer
-  }
-  if (recorder_) recorder_->record_edge(pred->seq, succ->seq, kind);
-  // Per-stream accounting mirrors the address-mode analyzer: the edge is
-  // charged to the submission that discovered it.
-  if (succ->account)
-    succ->account->edges.fetch_add(1, std::memory_order_relaxed);
-}
 
 void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   SMPSS_ASSERT(access.has_region);
@@ -35,8 +11,6 @@ void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
   SMPSS_CHECK(!is_commuting(access.dir),
               "commutative/concurrent access modes are address-mode only");
   counters_.region_accesses.fetch_add(1, std::memory_order_relaxed);
-  if (task->account)
-    task->account->accesses.fetch_add(1, std::memory_order_relaxed);
 
   auto [it, inserted] = arrays_.try_emplace(access.addr);
   ArrayEntry& e = it->second;
@@ -67,7 +41,7 @@ void* RegionAnalyzer::process(TaskNode* task, const AccessDesc& access) {
     if (task->has_ancestor(r.task)) continue;
     EdgeKind kind = r.writes ? (writes ? EdgeKind::Output : EdgeKind::True)
                              : EdgeKind::Anti;
-    add_edge(r.task, task, kind);
+    wire_edge(counters_, recorder_, r.task, task, kind);
   }
 
   task->add_ref();

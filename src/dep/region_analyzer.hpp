@@ -72,8 +72,6 @@ class RegionAnalyzer {
     std::size_t elem_bytes = 0;
   };
 
-  void add_edge(TaskNode* pred, TaskNode* succ, EdgeKind kind);
-
   GraphRecorder* recorder_;
   DepCounters counters_;
   std::unordered_map<const void*, ArrayEntry> arrays_;

@@ -16,28 +16,6 @@
 
 namespace smpss {
 
-/// Per-submitter accounting, threaded through both analyzers via
-/// TaskNode::account. Service-mode streams (runtime/stream.hpp) own one
-/// each: renamed storage is charged to the submitting stream when allocated
-/// and credited back when the buffer is freed — the account can outlive the
-/// submission (a renamed buffer dies with its last reader, possibly after
-/// the stream closed), which is why streams are registry-pinned for the
-/// runtime's life. `rename_budget` is the stream's private analogue of the
-/// global rename-memory blocking condition (Sec. III): admission blocks the
-/// offending stream alone instead of everyone.
-struct SubmitterAccount {
-  std::atomic<std::uint64_t> rename_bytes{0};  ///< outstanding renamed bytes
-  std::atomic<std::uint64_t> renames{0};       ///< cumulative rename count
-  std::atomic<std::uint64_t> accesses{0};      ///< analyzer accesses (both modes)
-  std::atomic<std::uint64_t> edges{0};         ///< edges into this account's tasks
-  std::size_t rename_budget = 0;               ///< 0 = no per-stream cap
-
-  bool over_budget() const noexcept {
-    return rename_budget != 0 &&
-           rename_bytes.load(std::memory_order_relaxed) > rename_budget;
-  }
-};
-
 class RenamePool {
  public:
   explicit RenamePool(std::size_t soft_limit_bytes) noexcept
@@ -45,26 +23,18 @@ class RenamePool {
 
   /// Allocate an aligned renamed buffer. Never fails softly: exceeding the
   /// soft limit is handled by the runtime *before* calling (blocking the
-  /// main thread), not here. `acct` (nullable) additionally charges the
-  /// bytes to the submitting stream's account; the matching deallocate must
-  /// pass the same account (versions carry it — see dep/version.hpp).
-  void* allocate(std::size_t bytes, SubmitterAccount* acct = nullptr) {
+  /// main thread), not here.
+  void* allocate(std::size_t bytes) {
     void* p = aligned_alloc_bytes(bytes, kDataAlignment);
     SMPSS_CHECK(p != nullptr, "out of memory for renamed storage");
     accountant_.add(bytes);
     renames_.fetch_add(1, std::memory_order_relaxed);
-    if (acct) {
-      acct->rename_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      acct->renames.fetch_add(1, std::memory_order_relaxed);
-    }
     return p;
   }
 
-  void deallocate(void* p, std::size_t bytes,
-                  SubmitterAccount* acct = nullptr) noexcept {
+  void deallocate(void* p, std::size_t bytes) noexcept {
     aligned_free_bytes(p);
     accountant_.sub(bytes);
-    if (acct) acct->rename_bytes.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
   /// True while renamed storage exceeds the configured soft limit.
@@ -72,7 +42,6 @@ class RenamePool {
     return accountant_.current() > soft_limit_;
   }
 
-  std::size_t soft_limit() const noexcept { return soft_limit_; }
   std::size_t current_bytes() const noexcept { return accountant_.current(); }
   std::size_t peak_bytes() const noexcept { return accountant_.peak(); }
   std::size_t total_bytes() const noexcept { return accountant_.total(); }

@@ -9,7 +9,7 @@ namespace smpss {
 
 Version* Version::create(SlabPool& vpool, unsigned slot, DataEntry* entry,
                          void* storage, std::size_t bytes, bool renamed,
-                         TaskNode* producer, SubmitterAccount* account) {
+                         TaskNode* producer) {
   void* mem = vpool.allocate(slot);
   const int init = producer ? 2 : 1;  // latest token (+ producer token)
   auto* cell = static_cast<RefCell*>(mem);
@@ -26,17 +26,15 @@ Version* Version::create(SlabPool& vpool, unsigned slot, DataEntry* entry,
     cell->refs.fetch_add(init - kDeadBias, std::memory_order_relaxed);
   }
   return ::new (static_cast<char*>(mem) + kPrefixBytes)
-      Version(entry, storage, bytes, renamed, producer, account, &vpool);
+      Version(entry, storage, bytes, renamed, producer, &vpool);
 }
 
 Version::Version(DataEntry* entry, void* storage, std::size_t bytes,
-                 bool renamed, TaskNode* producer, SubmitterAccount* account,
-                 SlabPool* vpool)
+                 bool renamed, TaskNode* producer, SlabPool* vpool)
     : entry_(entry),
       storage_(storage),
       bytes_(bytes),
       renamed_(renamed),
-      account_(account),
       producer_(producer),
       vpool_(vpool),
       group_(nullptr),
@@ -67,8 +65,7 @@ void Version::release(RenamePool& pool) noexcept {
   }
   SlabPool* vpool = vpool_;
   if (renamed_)
-    pool.deallocate(storage_.load(std::memory_order_relaxed), bytes_,
-                    account_);
+    pool.deallocate(storage_.load(std::memory_order_relaxed), bytes_);
   this->~Version();
   vpool->deallocate(reinterpret_cast<char*>(this) - kPrefixBytes);
 }

@@ -60,7 +60,6 @@ namespace smpss {
 
 class RenamePool;
 struct DataEntry;
-struct SubmitterAccount;  // dep/renaming.hpp
 struct AccessGroup;       // dep/access_group.hpp
 
 class Version {
@@ -95,14 +94,10 @@ class Version {
   /// Allocate + construct a version on `vpool` with the latest-token
   /// (refs=1) plus a producer token if `producer` is non-null (refs=2);
   /// takes a strong ref on the producer task. `slot` is the submitting
-  /// thread's pool slot. `account` (nullable) is the submitter account the
-  /// renamed storage was charged to; the credit is issued when this version
-  /// frees the buffer — possibly long after the submitting stream drained,
-  /// which is why stream accounts are pinned for the runtime's life.
+  /// thread's pool slot.
   static Version* create(SlabPool& vpool, unsigned slot, DataEntry* entry,
                          void* storage, std::size_t bytes, bool renamed,
-                         TaskNode* producer,
-                         SubmitterAccount* account = nullptr);
+                         TaskNode* producer);
 
   Version(const Version&) = delete;
   Version& operator=(const Version&) = delete;
@@ -114,7 +109,7 @@ class Version {
   }
 
   /// Storage pointer, spinning past the unresolved window. Must be called
-  /// before reading bytes()/renamed()/account() of a version another thread
+  /// before reading bytes()/renamed() of a version another thread
   /// may have published: finalize_storage() is the release that makes those
   /// fields stable.
   void* storage_wait() const noexcept {
@@ -127,19 +122,15 @@ class Version {
   }
 
   /// The winning writer's publication of the renaming decision: storage,
-  /// final extent, ownership and the account charged. Release-paired with
-  /// storage_wait().
-  void finalize_storage(void* s, std::size_t bytes, bool renamed,
-                        SubmitterAccount* acct) noexcept {
+  /// final extent and ownership. Release-paired with storage_wait().
+  void finalize_storage(void* s, std::size_t bytes, bool renamed) noexcept {
     bytes_ = bytes;
     renamed_ = renamed;
-    account_ = acct;
     storage_.store(s, std::memory_order_release);
   }
 
   std::size_t bytes() const noexcept { return bytes_; }
   bool renamed() const noexcept { return renamed_; }
-  SubmitterAccount* account() const noexcept { return account_; }
   DataEntry* entry() const noexcept { return entry_; }
   TaskNode* producer() const noexcept { return producer_; }
 
@@ -224,7 +215,7 @@ class Version {
 
  private:
   Version(DataEntry* entry, void* storage, std::size_t bytes, bool renamed,
-          TaskNode* producer, SubmitterAccount* account, SlabPool* vpool);
+          TaskNode* producer, SlabPool* vpool);
   ~Version();
 
   RefCell& rc() const noexcept {
@@ -236,7 +227,6 @@ class Version {
   std::atomic<void*> storage_;
   std::size_t bytes_;
   bool renamed_;
-  SubmitterAccount* account_;  // stream charged for renamed storage, or null
   TaskNode* producer_;  // strong ref; null for initial versions
   SlabPool* vpool_;     // the type-stable pool this block came from
   AccessGroup* group_;  // commuting group targeting this version, or null

@@ -14,6 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
+#include "common/counters.hpp"
+#include "graph/task.hpp"
+
 namespace smpss {
 
 enum class EdgeKind : std::uint8_t {
@@ -82,5 +86,32 @@ class GraphRecorder {
   std::vector<NodeRec> nodes_;
   std::vector<EdgeRec> edges_;
 };
+
+/// Wire `pred` -> `succ`, count it in `c` by kind and record it (`recorder`
+/// may be null): the one edge step of both dependency analyzers. A
+/// predecessor whose completion hint is already visible can never accept a
+/// new successor (the hint is the successor stack's closed sentinel), so it
+/// is skipped without the RMW on its retired stack word — the common re-read
+/// of long-finished data.
+inline void wire_edge(DepCounters& c, GraphRecorder* recorder, TaskNode* pred,
+                      TaskNode* succ, EdgeKind kind) {
+  SMPSS_ASSERT(pred != succ);
+  if (pred->finished_hint() || !pred->add_successor(succ)) return;
+  switch (kind) {
+    case EdgeKind::True:
+      c.raw_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case EdgeKind::Anti:
+      c.war_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case EdgeKind::Output:
+      c.waw_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case EdgeKind::Member:
+      c.commute_edges.fetch_add(1, std::memory_order_relaxed);
+      break;
+  }
+  if (recorder) recorder->record_edge(pred->seq, succ->seq, kind);
+}
 
 }  // namespace smpss

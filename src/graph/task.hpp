@@ -27,7 +27,6 @@
 namespace smpss {
 
 class Version;            // dep/version.hpp
-struct SubmitterAccount;  // dep/renaming.hpp
 struct StreamState;       // runtime/stream.hpp
 class FutureState;        // runtime/stream.hpp
 struct AccessGroup;       // dep/access_group.hpp
@@ -299,9 +298,6 @@ class TaskNode {
   /// Completion future (task-side ref); fulfilled — and its callback run —
   /// during retire, before the stream's live count drops.
   FutureState* future = nullptr;
-  /// Account charged for analyzer traffic and renamed storage; null for
-  /// non-stream tasks (the global accounting alone applies).
-  SubmitterAccount* account = nullptr;
   /// now_ns() at admission; retire records (now - submit_ns) into the
   /// stream's latency histogram. 0 for non-stream tasks.
   std::uint64_t submit_ns = 0;

@@ -715,12 +715,6 @@ StatsSnapshot Runtime::stats() const {
         row.throttled = st->throttled.load(std::memory_order_relaxed);
         row.callbacks_run =
             st->callbacks_run.load(std::memory_order_relaxed);
-        row.rename_bytes =
-            st->account.rename_bytes.load(std::memory_order_relaxed);
-        row.renames = st->account.renames.load(std::memory_order_relaxed);
-        row.dep_accesses =
-            st->account.accesses.load(std::memory_order_relaxed);
-        row.dep_edges = st->account.edges.load(std::memory_order_relaxed);
         row.latency_count = st->latency.count();
         row.latency_p50_ns = st->latency.percentile(0.50);
         row.latency_p99_ns = st->latency.percentile(0.99);

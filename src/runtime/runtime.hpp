@@ -240,7 +240,6 @@ class Runtime {
     t->high_priority = types_[type.id].high_priority;
     if (stream != nullptr) {
       t->stream = stream;
-      t->account = &stream->account;
       t->submit_ns = now_ns();
       t->future = future;
     }
@@ -500,9 +499,9 @@ class Runtime {
   // --- service mode ----------------------------------------------------------
 
   /// Append-only stream registry: StreamStates are never freed or reused
-  /// before the Runtime dies (versions carry their SubmitterAccount past
-  /// stream close). Guarded by streams_mu_ for growth; the states
-  /// themselves are internally synchronized.
+  /// before the Runtime dies (handles and stats() outlive a stream's
+  /// close). Guarded by streams_mu_ for growth; the states themselves are
+  /// internally synchronized.
   mutable std::mutex streams_mu_;
   std::vector<std::unique_ptr<StreamState>> streams_;
 

@@ -25,10 +25,6 @@ struct StreamStats {
   std::int64_t live = 0;
   std::uint64_t throttled = 0;      ///< admissions that had to queue
   std::uint64_t callbacks_run = 0;  ///< futures whose callback ran at retire
-  std::uint64_t rename_bytes = 0;   ///< current renamed storage charged here
-  std::uint64_t renames = 0;
-  std::uint64_t dep_accesses = 0;
-  std::uint64_t dep_edges = 0;
   std::uint64_t latency_count = 0;
   std::uint64_t latency_p50_ns = 0;
   std::uint64_t latency_p99_ns = 0;

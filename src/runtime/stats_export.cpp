@@ -143,7 +143,6 @@ std::string Runtime::stats_json(double tasks_per_s) const {
                r.live > 0 ? static_cast<std::uint64_t>(r.live) : 0);
     append_u64(out, "throttled", r.throttled);
     append_u64(out, "callbacks_run", r.callbacks_run);
-    append_u64(out, "rename_bytes", r.rename_bytes);
     append_u64(out, "latency_count", r.latency_count);
     append_u64(out, "p50_ns", r.latency_p50_ns);
     append_u64(out, "p99_ns", r.latency_p99_ns, /*comma=*/false);

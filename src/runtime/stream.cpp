@@ -12,8 +12,8 @@ namespace smpss {
 
 namespace {
 /// Stream registry capacity. StreamStates are registry-pinned for the
-/// Runtime's life (versions carry their rename accounts past stream close),
-/// so this bounds open_stream() calls, not concurrency.
+/// Runtime's life (handles and stats() outlive a stream's close), so this
+/// bounds open_stream() calls, not concurrency.
 constexpr std::size_t kMaxStreams = 64;
 }  // namespace
 
@@ -25,14 +25,12 @@ StreamHandle Runtime::open_stream(StreamOptions opts) {
   std::lock_guard<std::mutex> lk(streams_mu_);
   SMPSS_CHECK(streams_.size() < kMaxStreams,
               "stream registry full (64 streams per Runtime); closed "
-              "streams stay registered (their rename accounts may outlive "
-              "them)");
+              "streams stay registered");
   auto st = std::make_unique<StreamState>();
   st->id = static_cast<std::uint32_t>(streams_.size());
   st->name = opts.name.empty() ? "stream-" + std::to_string(st->id)
                                : std::move(opts.name);
   st->window = opts.task_window;
-  st->account.rename_budget = opts.rename_budget_bytes;
   st->ticket.weight = opts.weight == 0 ? 1 : opts.weight;
   StreamState* p = st.get();
   streams_.push_back(std::move(st));
@@ -60,10 +58,8 @@ void Runtime::stream_admit(StreamState& s) {
   // executor to drain the graph — both keep the window soft.
   const bool can_block = !in_task_context() && cfg_.num_threads >= 2;
   const auto self_full = [&] {
-    return (s.window != 0 &&
-            s.live.load(std::memory_order_acquire) >=
-                static_cast<std::int64_t>(s.window)) ||
-           s.account.over_budget();
+    return s.window != 0 && s.live.load(std::memory_order_acquire) >=
+                                static_cast<std::int64_t>(s.window);
   };
   const auto global_full = [&] {
     return tasks_live_.load(std::memory_order_acquire) >= cfg_.task_window ||

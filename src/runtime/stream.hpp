@@ -19,9 +19,9 @@
 //
 // Stream lifecycle: Open -> Draining -> Closed (one-way). StreamStates live
 // in an append-only registry owned by the Runtime and are never freed or
-// reused mid-run: versions carry the stream's SubmitterAccount past the
-// stream's close (a renamed buffer dies with its last reader), so the
-// pointed-to state must outlive everything — it does, by construction.
+// reused mid-run: a StreamHandle may outlive its stream's close, and stats()
+// reports closed streams too, so the pointed-to state must outlive every
+// handle — it does, by construction.
 //
 // Service mode requires Config::nested_tasks (concurrent submitters) and a
 // registered task type per body shape, both set up on the main thread
@@ -36,7 +36,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "dep/renaming.hpp"
 #include "graph/task.hpp"
 #include "runtime/params.hpp"
 #include "sched/admission.hpp"
@@ -47,12 +46,11 @@ namespace smpss {
 class Runtime;
 
 /// open_stream() parameters. Defaults: equal weight, no stream-local window
-/// or rename budget (the global Sec. III blocking conditions still apply).
+/// (the global Sec. III blocking conditions still apply).
 struct StreamOptions {
-  std::string name;                    ///< stats/exporter label ("" = "stream-<id>")
-  std::uint32_t weight = 1;            ///< admission slots per round-robin turn
-  std::size_t task_window = 0;         ///< per-stream live-task cap (0 = none)
-  std::size_t rename_budget_bytes = 0; ///< per-stream renamed-storage cap (0 = none)
+  std::string name;             ///< stats/exporter label ("" = "stream-<id>")
+  std::uint32_t weight = 1;     ///< admission slots per round-robin turn
+  std::size_t task_window = 0;  ///< per-stream live-task cap (0 = none)
 };
 
 /// One stream's runtime state. Registry-pinned: allocated by open_stream(),
@@ -71,14 +69,10 @@ struct StreamState {
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> retired{0};
   std::atomic<std::int64_t> live{0};
-  /// Admissions that had to queue (the stream hit a window/budget/fairness
-  /// wall) — the per-stream split of the old global foreign_throttled.
+  /// Admissions that had to queue (the stream hit a window/fairness wall) —
+  /// the per-stream split of the old global foreign_throttled.
   std::atomic<std::uint64_t> throttled{0};
   std::atomic<std::uint64_t> callbacks_run{0};
-
-  /// Rename-storage charge/budget + analyzer traffic, threaded through both
-  /// analyzers via TaskNode::account.
-  SubmitterAccount account;
 
   /// Submit-to-retire latency (ns). Recorded on every stream-task retire.
   LatencyHistogram latency;
@@ -194,7 +188,7 @@ class StreamHandle {
 
   /// Submit a task and get its completion future. Same parameter contract
   /// as Runtime::spawn. Blocks (fairly, see sched/admission.hpp) while the
-  /// stream is over its window/budget or the global window is full.
+  /// stream is over its window or the global window is full.
   template <typename F, detail::TaskParam... Ps>
   TaskFuture submit(TaskType type, F&& fn, Ps&&... ps);
   template <typename F, detail::TaskParam... Ps>

@@ -8,7 +8,7 @@
 // admission queue: each stream owns a persistent AdmissionTicket, waiting
 // tickets form a round-robin ring, and the head ticket may take up to
 // `weight` slots (its deficit) before the turn rotates. A stream blocked on
-// its *own* limits (per-stream window, rename budget) forfeits its turn
+// its *own* limit (the per-stream window) forfeits its turn
 // instead of holding the head, so stream-local backpressure never convoys
 // the other tenants.
 //
@@ -69,7 +69,7 @@ class AdmissionControl {
           break;
         }
         if (p == AdmitProbe::SelfFull) {
-          // Forfeit: this stream's own window/budget is the blocker; the
+          // Forfeit: this stream's own window is the blocker; the
           // remaining global capacity belongs to the next tenant in line.
           // Wake the new head, then fall through to the bounded wait (a
           // lone stream would otherwise spin here under the mutex).

@@ -1,28 +1,45 @@
 #!/usr/bin/env python3
-"""A/B the repository benchmark between two checkouts in alternating pairs.
+"""A/B two checkouts in alternating pairs and decide with one rule.
 
     perfbench_ab.py --parent DIR --change DIR --workload W --pairs N \
         --seed S [--out BENCH_perfbench.json]
+    perfbench_ab.py --parent DIR --change DIR --bench NAME [--bench NAME ...] \
+        --pairs N [--out BENCH_gate.json]
 
-Runs ``python3 perfbench/run.py`` in each checkout (each builds into its
-own ``.bench_build/``) for every pair, alternating which side goes first,
-at ``BENCHMARK.json``'s ``run_seconds``. ``--workload`` may repeat; without
-it every workload of ``BENCHMARK.json`` runs. The metric names, their
-better direction and their bounds come from its ``end_to_end`` list (this
-checkout's ``BENCHMARK.json``, next to ``tools/``).
+Without ``--bench`` it runs the repository benchmark: ``python3
+perfbench/run.py`` in each checkout (each builds into its own
+``.bench_build/``) at ``BENCHMARK.json``'s ``run_seconds``. ``--workload``
+may repeat; without it every workload of ``BENCHMARK.json`` runs. The metric
+names, their better direction and their bounds come from its ``end_to_end``
+list (this checkout's ``BENCHMARK.json``, next to ``tools/``).
 
-For each workload and end-to-end metric it prints both sides' median
-[q1, q3], the change/parent ratio, the pairs the change won (ties count
-for neither), failed/attempted rounds per side, and one verdict:
+With ``--bench NAME`` (repeatable; not with ``--workload`` or ``--seed``) it
+runs the Google Benchmark binary ``DIR/build/bench/NAME`` once per side and
+pair, with one repetition; both checkouts must already be built. Each
+benchmark gives one row: its ``tasks_per_s`` counter (higher is better), else
+its ``real_time`` (lower is better). One whose ``p99_ns`` counter is above 0
+also gives a ``NAME::p99_ns`` row (lower is better). Every row's bound is
+GBENCH_BOUND. A row that only one side reports reads ``new`` or ``removed``
+and never fails; a binary missing on one side reports no rows. A run that
+reports an ``error_occurred`` benchmark counts as a failed round.
+
+Each pair alternates which side goes first, per workload or binary, so a
+noise burst falls inside one pair. For each workload or binary and metric it
+prints both sides' median [q1, q3], the change/parent ratio, the pairs the
+change won and lost (ties count for neither), failed/attempted rounds per
+side, and one verdict:
 
 - ``gain``: the change wins at least 9/10 of the pairs, the medians differ
   by more than the parent's IQR in the better direction, and no larger
   share of the change's rounds failed;
 - ``unresolved``: the parent's IQR exceeds the bound (relative to its
-  median), unless every change run beats every parent run. Such a spread
-  decides nothing, so the set must be run again; it never counts as a pass;
+  median), unless every change run beats every parent run; or the change's
+  median is worse by more than the bound without the evidence a regression
+  needs. Such a set decides nothing and must be run again;
 - ``regression``: the change's median is worse than the parent's by more
-  than the metric's bound;
+  than the metric's bound, the change loses at least 9/10 of the pairs, and
+  the medians differ by more than the parent's IQR (a gain's evidence,
+  mirrored);
 - ``unchanged``: none of the above.
 
 The verdicts are checked in that order. Around each run the tool reads the
@@ -30,24 +47,31 @@ The verdicts are checked in that order. Around each run the tool reads the
 jiffies over all jiffies, host-wide); under the table it prints each side's
 median, since a noisy neighbour shows there before it shows as a verdict.
 
-``--out PATH`` also writes the results as JSON, with both sides' perfbench
-``stamp`` lines (nproc, CPU, compiler, build type, commit) and per-run steal
-shares (``null`` where ``/proc/stat`` is missing). An existing file keeps
-its entries for other (workload, seed) pairs, so one file can collect a
-change's whole trajectory. The exit status is 1 when any metric reads as a
-regression or as unresolved, or any round failed, else 0.
+``--out PATH`` also writes the results as JSON, with per-run steal shares
+(``null`` where ``/proc/stat`` is missing) and, for perfbench, both sides'
+``stamp`` lines (nproc, CPU, compiler, build type, commit). An existing file
+keeps its entries for other workloads, seeds or binaries, so one file can
+collect a change's whole trajectory. When ``GITHUB_STEP_SUMMARY`` names a
+file, the table and the unresolved rows with their parent IQR are appended
+to it.
+
+Exit status: 1 when any metric reads ``regression`` or any round failed,
+else 3 when any reads ``unresolved``, else 0 (2 is a usage error).
 """
 
 import argparse
+import functools
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PROC_STAT = "/proc/stat"
+GBENCH_BOUND = 0.20  # every Google Benchmark row's bound
 
 
 def load_benchmark(path):
@@ -81,6 +105,30 @@ def parse_output(text):
     }
 
 
+def parse_gbench(text):
+    """One Google Benchmark JSON output -> {attempted: 1, failed, metrics:
+    {row: value}, better: {row: "higher"/"lower"}}. Repetitions of one
+    benchmark are reduced to their median; aggregate entries are ignored."""
+    samples, direction, failed = {}, {}, 0
+    for b in json.loads(text).get("benchmarks", []):
+        name = b.get("run_name") or b.get("name", "")
+        if not name or b.get("run_type") == "aggregate":
+            continue
+        failed = failed or int(bool(b.get("error_occurred")))
+        if "tasks_per_s" in b:
+            rows = [(name, float(b["tasks_per_s"]), "higher")]
+        else:
+            rows = [(name, float(b.get("real_time", 0.0)), "lower")]
+        if float(b.get("p99_ns", 0.0)) > 0:
+            rows.append((f"{name}::p99_ns", float(b["p99_ns"]), "lower"))
+        for row, value, better_dir in rows:
+            samples.setdefault(row, []).append(value)
+            direction[row] = better_dir
+    return {"attempted": 1, "failed": failed,
+            "metrics": {k: statistics.median(v) for k, v in samples.items()},
+            "better": direction}
+
+
 def quartiles(values):
     """(q1, median, q3), linearly interpolated between order statistics."""
     v = sorted(values)
@@ -97,14 +145,16 @@ def better(a, b, direction):
 
 def verdict(parent, change, direction, bound, failed_share):
     """Compares paired runs (parent[i] with change[i]) of one metric.
-    Returns a dict with both sides' quartiles, the ratio, the wins and the
-    verdict. `failed_share` is (parent, change) failed/attempted rounds."""
+    Returns a dict with both sides' quartiles, the ratio, the wins and
+    losses and the verdict. `failed_share` is (parent, change) failed/
+    attempted rounds."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same, non-zero number of runs per side")
     pq1, pmed, pq3 = quartiles(parent)
     cq1, cmed, cq3 = quartiles(change)
     pairs = len(parent)
     wins = sum(better(c, p, direction) for p, c in zip(parent, change))
+    losses = sum(better(p, c, direction) for p, c in zip(parent, change))
     iqr = pq3 - pq1
     # Worsening of the change's median relative to the parent's, > 0 = worse.
     worse = ((cmed - pmed) if direction == "lower" else (pmed - cmed)) / pmed \
@@ -117,7 +167,8 @@ def verdict(parent, change, direction, bound, failed_share):
     elif pmed and iqr / abs(pmed) > bound and not every_run_better:
         v = "unresolved"
     elif worse > bound:
-        v = "regression"
+        v = ("regression" if 10 * losses >= 9 * pairs
+             and abs(cmed - pmed) > iqr else "unresolved")
     else:
         v = "unchanged"
     return {
@@ -125,15 +176,30 @@ def verdict(parent, change, direction, bound, failed_share):
         "change": {"median": cmed, "q1": cq1, "q3": cq3, "runs": change},
         "ratio": cmed / pmed if pmed else None,
         "wins": wins,
+        "losses": losses,
         "pairs": pairs,
         "parent_iqr_frac": iqr / abs(pmed) if pmed else None,
         "verdict": v,
     }
 
 
+def one_sided(name, parent_runs, change_runs):
+    """The entry of a metric that only one side reports: `new` with the
+    change's quartiles, or `removed` with the parent's."""
+    side = ("change" if any(name in r["metrics"] for r in change_runs)
+            else "parent")
+    runs = [r["metrics"][name]
+            for r in (change_runs if side == "change" else parent_runs)
+            if name in r["metrics"]]
+    q1, med, q3 = quartiles(runs)
+    return {side: {"median": med, "q1": q1, "q3": q3, "runs": runs},
+            "verdict": "new" if side == "change" else "removed"}
+
+
 def summarize(parent_runs, change_runs, specs):
-    """Per-metric verdicts and per-side round counts for one workload.
-    parent_runs[i] and change_runs[i] are parse_output() results of pair i."""
+    """Per-metric verdicts and per-side round counts for one workload or
+    binary. parent_runs[i] and change_runs[i] are the parsed runs of pair i;
+    a metric is compared over the pairs whose runs both report it."""
     rounds = {}
     for side, runs in (("parent", parent_runs), ("change", change_runs)):
         rounds[side] = {"failed": sum(r["failed"] for r in runs),
@@ -143,35 +209,66 @@ def summarize(parent_runs, change_runs, specs):
     metrics = {}
     for spec in specs:
         name = spec["name"]
-        p = [r["metrics"][name] for r in parent_runs]
-        c = [r["metrics"][name] for r in change_runs]
-        metrics[name] = verdict(p, c, spec["better"], float(spec["bound"]),
-                                share)
+        both = [(p["metrics"][name], c["metrics"][name])
+                for p, c in zip(parent_runs, change_runs)
+                if name in p["metrics"] and name in c["metrics"]]
+        if not both:
+            metrics[name] = one_sided(name, parent_runs, change_runs)
+            continue
+        metrics[name] = verdict([p for p, _ in both], [c for _, c in both],
+                                spec["better"], float(spec["bound"]), share)
         metrics[name]["unit"] = spec.get("unit", "")
         metrics[name]["bound"] = float(spec["bound"])
     return {"rounds": rounds, "metrics": metrics}
+
+
+def gbench_specs(runs):
+    """One spec per row any of `runs` reports, in first-seen order."""
+    direction = {}
+    for r in runs:
+        for row, d in r["better"].items():
+            direction.setdefault(row, d)
+    return [{"name": row, "better": d, "bound": GBENCH_BOUND}
+            for row, d in direction.items()]
 
 
 def fmt(x):
     return f"{x:.4g}"
 
 
-def table(workload, summary):
-    """Markdown rows of one workload's summary."""
+def quart(side):
+    """`median [q1, q3]` of one side's entry, or a dash when it is absent."""
+    if side is None:
+        return "—"
+    return f"{fmt(side['median'])} [{fmt(side['q1'])}, {fmt(side['q3'])}]"
+
+
+def table(unit, summary):
+    """Markdown rows of one workload's or binary's summary."""
     rows = []
     for name, m in summary["metrics"].items():
-        p, c = m["parent"], m["change"]
-        ratio = f"{m['ratio']:.3f}" if m["ratio"] is not None else "n/a"
-        rows.append(
-            f"| {workload} | {name} | {fmt(p['median'])} [{fmt(p['q1'])}, "
-            f"{fmt(p['q3'])}] | {fmt(c['median'])} [{fmt(c['q1'])}, "
-            f"{fmt(c['q3'])}] | {ratio} | {m['wins']}/{m['pairs']} | "
-            f"{m['verdict']} |")
+        ratio = f"{m['ratio']:.3f}" if m.get("ratio") is not None else "n/a"
+        pairs = (f"{m['wins']}/{m['losses']}/{m['pairs']}" if "pairs" in m
+                 else "")
+        rows.append(f"| {unit} | {name} | {quart(m.get('parent'))} | "
+                    f"{quart(m.get('change'))} | {ratio} | {pairs} | "
+                    f"{m['verdict']} |")
     r = summary["rounds"]
-    rows.append(f"| {workload} | failed/attempted rounds | "
+    rows.append(f"| {unit} | failed/attempted rounds | "
                 f"{r['parent']['failed']}/{r['parent']['attempted']} | "
                 f"{r['change']['failed']}/{r['change']['attempted']} | | | |")
     return rows
+
+
+def exit_status(results):
+    """1 on a regression or a failed round, else 3 on an unresolved
+    metric, else 0."""
+    verdicts = {m["verdict"] for r in results for m in r["metrics"].values()}
+    if "regression" in verdicts or any(
+            r["rounds"][s]["failed"] for r in results
+            for s in ("parent", "change")):
+        return 1
+    return 3 if "unresolved" in verdicts else 0
 
 
 def cpu_jiffies(text):
@@ -224,16 +321,47 @@ def run_side(checkout, workload, seed, seconds):
     return dict(parse_output(proc.stdout), steal=steal_share(before, after))
 
 
-def write_out(path, results):
+def bench_path(checkout, name):
+    return os.path.abspath(os.path.join(checkout, "build", "bench", name))
+
+
+def run_bench(checkout, name):
+    """Runs `checkout`'s build/bench/NAME once, with one repetition, in a
+    scratch directory (benches write their artifacts into the working
+    directory), and returns parse_gbench()'s dict plus the run's steal share
+    under "steal"."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        before = stat_sample()
+        proc = subprocess.run(
+            [bench_path(checkout, name), "--benchmark_repetitions=1",
+             f"--benchmark_out={out}", "--benchmark_out_format=json"],
+            cwd=tmp, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        after = stat_sample()
+        if proc.returncode != 0:
+            raise RuntimeError(f"{bench_path(checkout, name)} failed "
+                               f"(exit {proc.returncode}):\n{proc.stderr}")
+        with open(out) as f:
+            return dict(parse_gbench(f.read()),
+                        steal=steal_share(before, after))
+
+
+def result_key(r):
+    """What an --out entry is merged and sorted on."""
+    return (r.get("bench", ""), r.get("workload", ""), r.get("seed", 0))
+
+
+def write_out(path, results, benchmark):
     """Merges this invocation's results into the JSON file at `path`."""
-    doc = {"benchmark": "perfbench", "results": []}
+    doc = {"benchmark": benchmark, "results": []}
     if os.path.exists(path):
         with open(path) as f:
             doc = json.load(f)
-    fresh = {(r["workload"], r["seed"]) for r in results}
+    fresh = {result_key(r) for r in results}
     doc["results"] = [r for r in doc.get("results", [])
-                      if (r["workload"], r["seed"]) not in fresh] + results
-    doc["results"].sort(key=lambda r: (r["workload"], r["seed"]))
+                      if result_key(r) not in fresh] + results
+    doc["results"].sort(key=result_key)
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
@@ -244,64 +372,96 @@ def main(argv=None):
     ap.add_argument("--parent", required=True, help="the parent's checkout")
     ap.add_argument("--change", required=True, help="the change's checkout")
     ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: all)")
+                    help="perfbench workload to run (repeatable; default: all)")
+    ap.add_argument("--bench", action="append",
+                    help="Google Benchmark binary under DIR/build/bench to "
+                         "run instead of perfbench (repeatable)")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, help="perfbench seed (default 1)")
     ap.add_argument("--out", help="write the results as JSON to this file")
     args = ap.parse_args(argv)
 
-    seconds, known, specs = load_benchmark(ROOT / "BENCHMARK.json")
-    workloads = args.workload or known
-    for w in workloads:
-        if w not in known:
-            ap.error(f"unknown workload {w} (BENCHMARK.json has "
-                     f"{', '.join(known)})")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = {"parent": args.parent, "change": args.change}
+    if args.bench:
+        if args.workload or args.seed is not None:
+            ap.error("--bench cannot be combined with --workload or --seed")
+        for b in args.bench:
+            if not any(os.path.isfile(bench_path(d, b))
+                       for d in sides.values()):
+                ap.error(f"neither checkout has build/bench/{b}")
+        units, benchmark = args.bench, "google-benchmark"
+        title = (f"Google Benchmark A/B, {args.pairs} alternating pairs, one "
+                 f"repetition per run, bound {GBENCH_BOUND:g}")
+        run = run_bench
+        shown = None  # a run's progress line lists every row it reports
+    else:
+        seed = 1 if args.seed is None else args.seed
+        seconds, known, specs = load_benchmark(ROOT / "BENCHMARK.json")
+        units, benchmark = args.workload or known, "perfbench"
+        for w in units:
+            if w not in known:
+                ap.error(f"unknown workload {w} (BENCHMARK.json has "
+                         f"{', '.join(known)})")
+        title = (f"perfbench A/B, seed {seed}, {args.pairs} alternating "
+                 f"pairs, {seconds:g} s per run")
+        run = functools.partial(run_side, seed=seed, seconds=seconds)
+        shown = [s["name"] for s in specs]
 
-    results, rows, notes, bad = [], [], [], False
-    for w in workloads:
+    results, rows, notes = [], [], []
+    for u in units:
+        # A binary missing on one side runs on the other only; its rows
+        # then read new or removed.
+        present = [s for s in sides
+                   if not args.bench or os.path.isfile(bench_path(sides[s], u))]
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                r = run_side(sides[side], w, args.seed, seconds)
+            for side in (s for s in order if s in present):
+                r = run(sides[side], u)
                 runs[side].append(r)
-                print(f"{w} pair {i + 1}/{args.pairs} {side}: "
-                      + ", ".join(f"{s['name']}={fmt(r['metrics'][s['name']])}"
-                                  for s in specs)
+                print(f"{u} pair {i + 1}/{args.pairs} {side}: "
+                      + ", ".join(f"{k}={fmt(r['metrics'][k])}"
+                                  for k in (shown or r["metrics"]))
                       + f", failed {r['failed']}/{r['attempted']}",
                       file=sys.stderr, flush=True)
+        if args.bench:
+            specs = gbench_specs(runs["parent"] + runs["change"])
         summary = summarize(runs["parent"], runs["change"], specs)
-        rows += table(w, summary)
+        rows += table(u, summary)
         steal = {s: [r["steal"] for r in runs[s]] for s in sides}
-        notes.append(f"{w}: median steal share per run, parent "
+        notes.append(f"{u}: median steal share per run, parent "
                      f"{median_steal(steal['parent'])}, change "
                      f"{median_steal(steal['change'])}")
-        bad = bad or any(m["verdict"] in ("regression", "unresolved")
-                         for m in summary["metrics"].values())
-        bad = bad or any(summary["rounds"][s]["failed"] for s in sides)
-        results.append({
-            "workload": w, "seed": args.seed, "pairs": args.pairs,
-            "run_seconds": seconds,
-            "stamps": {s: runs[s][0]["stamp"] for s in sides},
-            "steal": steal,
-            **summary,
-        })
+        entry = ({"bench": u} if args.bench else
+                 {"workload": u, "seed": seed, "run_seconds": seconds,
+                  "stamps": {s: runs[s][0]["stamp"] for s in sides}})
+        results.append({**entry, "pairs": args.pairs, "steal": steal,
+                        **summary})
 
-    print(f"perfbench A/B, seed {args.seed}, {args.pairs} alternating pairs, "
-          f"{seconds:g} s per run; parent {args.parent}, change {args.change}")
-    print()
-    print("| workload | metric | parent median [q1, q3] | change median "
-          "[q1, q3] | change/parent | change better | verdict |")
-    print("|---|---|---|---|---|---|---|")
-    print("\n".join(rows))
-    print()
-    print("\n".join(notes))
+    # An unresolved metric has a non-zero parent median (see verdict()).
+    unresolved = [f"- {r.get('bench') or r['workload']} {name}: parent IQR "
+                  f"{m['parent_iqr_frac']:.3f} of its median, change/parent "
+                  f"{m['ratio']:.3f}"
+                  for r in results for name, m in r["metrics"].items()
+                  if m["verdict"] == "unresolved"]
+    report = [f"{title}; parent {args.parent}, change {args.change}", "",
+              f"| {'bench' if args.bench else 'workload'} | metric | "
+              "parent median [q1, q3] | change median "
+              "[q1, q3] | change/parent | change won/lost/pairs | verdict |",
+              "|---|---|---|---|---|---|---|", *rows, "", *notes]
+    if unresolved:
+        report += ["", "Unresolved (run the set again):", *unresolved]
+    text = "\n".join(report) + "\n"
+    print(text, end="")
+    summary_path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary_path:
+        with open(summary_path, "a") as f:
+            f.write(f"## {text}")
     if args.out:
-        write_out(args.out, results)
-    return 1 if bad else 0
+        write_out(args.out, results, benchmark)
+    return exit_status(results)
 
 
 if __name__ == "__main__":
