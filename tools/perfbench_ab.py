@@ -106,26 +106,24 @@ def parse_output(text):
 
 
 def parse_gbench(text):
-    """One Google Benchmark JSON output -> {attempted: 1, failed, metrics:
-    {row: value}, better: {row: "higher"/"lower"}}. Repetitions of one
-    benchmark are reduced to their median; aggregate entries are ignored."""
-    samples, direction, failed = {}, {}, 0
+    """One Google Benchmark JSON output of a one-repetition run ->
+    {attempted: 1, failed, metrics: {row: value}, better: {row:
+    "higher"/"lower"}}. Aggregate entries are ignored."""
+    metrics, direction, failed = {}, {}, 0
     for b in json.loads(text).get("benchmarks", []):
         name = b.get("run_name") or b.get("name", "")
         if not name or b.get("run_type") == "aggregate":
             continue
         failed = failed or int(bool(b.get("error_occurred")))
         if "tasks_per_s" in b:
-            rows = [(name, float(b["tasks_per_s"]), "higher")]
+            metrics[name], direction[name] = float(b["tasks_per_s"]), "higher"
         else:
-            rows = [(name, float(b.get("real_time", 0.0)), "lower")]
+            metrics[name] = float(b.get("real_time", 0.0))
+            direction[name] = "lower"
         if float(b.get("p99_ns", 0.0)) > 0:
-            rows.append((f"{name}::p99_ns", float(b["p99_ns"]), "lower"))
-        for row, value, better_dir in rows:
-            samples.setdefault(row, []).append(value)
-            direction[row] = better_dir
-    return {"attempted": 1, "failed": failed,
-            "metrics": {k: statistics.median(v) for k, v in samples.items()},
+            metrics[f"{name}::p99_ns"] = float(b["p99_ns"])
+            direction[f"{name}::p99_ns"] = "lower"
+    return {"attempted": 1, "failed": failed, "metrics": metrics,
             "better": direction}
 
 

@@ -266,10 +266,11 @@ class GbenchRows(unittest.TestCase):
 
     def test_an_error_occurred_entry_fails_the_round(self):
         r = perfbench_ab.parse_gbench(gbench_json([
-            ("BM_Rank", {"real_time": 5.0, "error_occurred": True,
-                         "error_message": "ranks diverged"})]))
+            ("BM_Row", {"real_time": 5.0, "error_occurred": True,
+                        "error_message": "ranks diverged"})]))
         self.assertEqual(r["failed"], 1)
         summary, status = gate(one_row_runs([5.0]), [r])
+        self.assertEqual(summary["metrics"]["BM_Row"]["verdict"], "unchanged")
         self.assertEqual(status, 1)
 
 
