@@ -31,57 +31,86 @@ void insertion_sort(ELM* a, long lo, long hi) {
   }
 }
 
-ELM median3(ELM a, ELM b, ELM c) {
-  if (a < b) {
-    if (b < c) return b;
-    return a < c ? c : a;
+/// Partitions a[lo..hi] around the pivot a[hi] and returns its final index
+/// s: a[lo..s) < pivot (<= pivot with kTakeEqual) and a[s..hi] >= it. The
+/// loop carries no branch on the comparison: every element is swapped
+/// with the first one not yet known to belong on the left, and the cut
+/// only advances when it does.
+template <bool kTakeEqual>
+long partition(ELM* a, long lo, long hi) {
+  const ELM pivot = a[hi];
+  long s = lo;
+  for (long k = lo; k < hi; ++k) {
+    const ELM x = a[k];
+    a[k] = a[s];
+    a[s] = x;
+    s += kTakeEqual ? x <= pivot : x < pivot;
   }
-  if (a < c) return a;
-  return b < c ? c : b;
+  a[hi] = a[s];
+  a[s] = pivot;
+  return s;
+}
+
+/// Sorts a[lo..hi]. `floored` says a[lo - 1] is an earlier pivot, no
+/// greater than any element of the range. `depth` partitions remain
+/// before the range falls back to heap sort.
+void quick_rec(ELM* a, long lo, long hi, bool floored, int depth) {
+  while (hi - lo + 1 > kInsertionThreshold) {
+    if (depth-- == 0) {
+      std::make_heap(a + lo, a + hi + 1);
+      std::sort_heap(a + lo, a + hi + 1);
+      return;
+    }
+    // Median of first, middle and last, moved to a[hi].
+    const long mid = lo + (hi - lo) / 2;
+    if (a[mid] < a[lo]) std::swap(a[mid], a[lo]);
+    if (a[hi] < a[mid]) std::swap(a[hi], a[mid]);
+    if (a[mid] < a[lo]) std::swap(a[mid], a[lo]);
+    std::swap(a[mid], a[hi]);
+    if (floored && a[lo - 1] == a[hi]) {
+      // pdqsort's equal-pivot rule: the pivot is the range's minimum, so
+      // everything `<=` takes left equals it and is already in place.
+      lo = partition<true>(a, lo, hi) + 1;
+      continue;
+    }
+    const long s = partition<false>(a, lo, hi);
+    // Recurse into the smaller side, iterate on the larger (O(log n) stack).
+    if (s - lo < hi - s) {
+      quick_rec(a, lo, s - 1, floored, depth);
+      lo = s + 1;
+      floored = true;
+    } else {
+      quick_rec(a, s + 1, hi, true, depth);
+      hi = s - 1;
+    }
+  }
+  insertion_sort(a, lo, hi);
 }
 }  // namespace
 
 void seqquick(ELM* data, long i, long j) {
-  while (j - i > kInsertionThreshold) {
-    ELM pivot = median3(data[i], data[(i + j) / 2], data[j]);
-    long lo = i, hi = j;
-    while (lo <= hi) {
-      while (data[lo] < pivot) ++lo;
-      while (data[hi] > pivot) --hi;
-      if (lo <= hi) {
-        std::swap(data[lo], data[hi]);
-        ++lo;
-        --hi;
-      }
-    }
-    // Recurse into the smaller side, iterate on the larger (O(log n) stack).
-    if (hi - i < j - lo) {
-      if (i < hi) seqquick(data, i, hi);
-      i = lo;
-    } else {
-      if (lo < j) seqquick(data, lo, j);
-      j = hi;
-    }
-  }
-  insertion_sort(data, i, j);
+  int depth = 0;
+  for (long n = j - i + 1; n > 1; n >>= 1) depth += 2;  // 2 * floor(log2 n)
+  quick_rec(data, i, j, false, depth);
 }
 
 void seqmerge(const ELM* data, long i1, long j1, long i2, long j2, ELM* dest) {
-  long a = i1, b = i2, o = i1;
-  while (a <= j1 && b <= j2) dest[o++] = data[a] <= data[b] ? data[a++] : data[b++];
-  while (a <= j1) dest[o++] = data[a++];
-  while (b <= j2) dest[o++] = data[b++];
+  const long la = j1 - i1 + 1;
+  const long lb = j2 - i2 + 1;
+  merge_piece(data + i1, la, data + i2, lb, 0, la + lb, dest + i1);
 }
 
 long co_rank(long t, const ELM* a, long la, const ELM* b, long lb) {
   // Find ia in [max(0, t-lb), min(t, la)] with ib = t - ia such that
   // a[ia-1] <= b[ib] and b[ib-1] < a[ia] (treating out-of-range as +/-inf).
+  // The strict side makes the split unique (a goes first on a tie, as in
+  // std::merge), so co_rank is monotone in t and adjacent pieces meet.
   long lo = std::max<long>(0, t - lb);
   long hi = std::min(t, la);
   while (lo < hi) {
     long ia = lo + (hi - lo) / 2;
     long ib = t - ia;
-    if (ia < la && ib > 0 && b[ib - 1] > a[ia]) {
+    if (ia < la && ib > 0 && b[ib - 1] >= a[ia]) {
       lo = ia + 1;  // need more of a
     } else if (ia > 0 && ib < lb && a[ia - 1] > b[ib]) {
       hi = ia;      // need less of a
@@ -92,22 +121,34 @@ long co_rank(long t, const ELM* a, long la, const ELM* b, long lb) {
   return lo;
 }
 
-namespace {
-
-/// Merge output positions [t0, t1) (relative to the merged sequence) of
-/// merge(a[0..la), b[0..lb)) into out[t0..t1). Inputs must be sorted.
 void merge_piece(const ELM* a, long la, const ELM* b, long lb, long t0,
                  long t1, ELM* out) {
   long ia = co_rank(t0, a, la, b, lb);
   long ib = t0 - ia;
-  long ja = co_rank(t1, a, la, b, lb);
-  long jb = t1 - ja;
-  long o = t0;
-  while (ia < ja && ib < jb)
-    out[o++] = a[ia] <= b[ib] ? a[ia++] : b[ib++];
-  while (ia < ja) out[o++] = a[ia++];
-  while (ib < jb) out[o++] = b[ib++];
+  const long ja = co_rank(t1, a, la, b, lb);
+  long ka = ja - 1, kb = t1 - ja - 1;  // the last elements of a and b to take
+  long o = t0, e = t1 - 1;
+  // Two-ended: each pass writes the smallest remaining element at the
+  // front and the largest at the back, two independent select chains. On a
+  // tie the front takes a and the back takes b, so the ends never take the
+  // same element, and the output equals std::merge's.
+  while (ia <= ka && ib <= kb) {
+    const ELM x = a[ia], y = b[ib];
+    const bool ta = x <= y;
+    out[o++] = ta ? x : y;
+    ia += ta;
+    ib += !ta;
+    const ELM u = a[ka], v = b[kb];
+    const bool sa = u > v;
+    out[e--] = sa ? u : v;
+    ka -= sa;
+    kb -= !sa;
+  }
+  // One run is used up; the rest of the other fills out[o..e].
+  std::copy(b + ib, b + (kb + 1), std::copy(a + ia, a + (ka + 1), out + o));
 }
+
+namespace {
 
 struct Quarters {
   long i1, j1, i2, j2, i3, j3, i4, j4;

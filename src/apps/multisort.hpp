@@ -28,17 +28,39 @@ struct MultisortTasks {
   static MultisortTasks register_in(Runtime& rt);
 };
 
-/// Sequential quicksort of data[i..j] inclusive (median-of-three, insertion
-/// sort below a threshold). Exposed for tests.
+/// Sequential quicksort of data[i..j] inclusive, the leaf task of every
+/// multisort build. Exposed for tests.
+///  * Partition: the median of first, middle and last is moved to the end,
+///    and a Lomuto loop without a branch on the comparison swaps each
+///    element with the first one not yet known to be smaller and advances
+///    the cut by `x < pivot`.
+///  * Equal-pivot rule (pdqsort): a range right of an earlier pivot has that
+///    pivot as a floor. If the new pivot equals the floor it is the range's
+///    minimum, so the range is partitioned with `<=` and everything left of
+///    the cut, all copies of the pivot, is skipped. Few distinct keys then
+///    cost linear passes, not quadratic ones.
+///  * Depth bound (introsort): after 2 * floor(log2 n) partitions a range is
+///    heap-sorted, so no input (organ pipe, median-of-3 killer) is quadratic.
+///  * Insertion sort finishes ranges of at most 32 elements.
 void seqquick(ELM* data, long i, long j);
 
 /// Merge sorted data[i1..j1] and data[i2..j2] into dest starting at dest[i1]
-/// (the seqmerge task of Fig. 7). Exposed for tests.
+/// (the seqmerge task of Fig. 7): merge_piece over the whole output.
 void seqmerge(const ELM* data, long i1, long j1, long i2, long j2, ELM* dest);
 
 /// Co-rank: number of elements of a (length la) among the first `t` of the
 /// merge of a and b (length lb). Exposed for property tests.
 long co_rank(long t, const ELM* a, long la, const ELM* b, long lb);
+
+/// Merge output positions [t0, t1) of merge(a[0..la), b[0..lb)) into
+/// out[t0..t1); inputs must be sorted. Co-ranks t0 and t1 to find the input
+/// segments, then merges them from both ends at once: each pass writes the
+/// smallest remaining element at the front and the largest at the back,
+/// with selects instead of branches. The front takes a on a tie and the back
+/// takes b, so the result equals std::merge's. The one merge loop of every
+/// multisort build (SMPSs, Cilk-like, OMP3-like, real OpenMP, sequential).
+void merge_piece(const ELM* a, long la, const ELM* b, long lb, long t0,
+                 long t1, ELM* out);
 
 /// Sequential multisort (same recursion, inline).
 void multisort_seq(ELM* data, ELM* tmp, long n, long quick_size);

@@ -69,15 +69,7 @@ void omp_sort(ELM* data, ELM* tmp, long i, long j, long quick_size,
 void omp_merge(const ELM* a, long la, const ELM* b, long lb, ELM* out,
                long t0, long t1, long merge_size) {
   if (t1 - t0 <= merge_size) {
-    // Co-rank based piece merge, identical to the other baselines.
-    long ia = apps::co_rank(t0, a, la, b, lb);
-    long ib = t0 - ia;
-    long ja = apps::co_rank(t1, a, la, b, lb);
-    long jb = t1 - ja;
-    long o = t0;
-    while (ia < ja && ib < jb) out[o++] = a[ia] <= b[ib] ? a[ia++] : b[ib++];
-    while (ia < ja) out[o++] = a[ia++];
-    while (ib < jb) out[o++] = b[ib++];
+    apps::merge_piece(a, la, b, lb, t0, t1, out);
     return;
   }
   long mid = (t0 + t1) / 2;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <functional>
+#include <iterator>
 #include <tuple>
 #include <vector>
 
@@ -50,6 +53,187 @@ TEST(SeqQuick, AllEqualElements) {
   for (ELM x : v) EXPECT_EQ(x, 42);
 }
 
+// Musser's median-of-3 killer for n = 2k (k rounded down for odd n; the
+// last slot of an odd n holds 2k + 1).
+std::vector<ELM> median3_killer(long n) {
+  const long k = n / 2;
+  std::vector<ELM> v(static_cast<std::size_t>(n), 2 * k + 1);
+  for (long i = 1; i <= k; ++i) {
+    if (i % 2 == 1) {
+      v[static_cast<std::size_t>(i - 1)] = i;
+      v[static_cast<std::size_t>(i)] = k + i;
+    }
+    v[static_cast<std::size_t>(k + i - 1)] = 2 * i;
+  }
+  return v;
+}
+
+// Sizes straddle the insertion-sort threshold (32) and the leaf size
+// (2^14).
+TEST(SeqQuick, MatchesStdSortOnEveryShape) {
+  using Gen = std::function<ELM(long i, long n, Xoshiro256& rng)>;
+  const std::vector<std::pair<const char*, Gen>> shapes = {
+      {"random",
+       [](long i, long n, Xoshiro256& rng) {
+         if (i == n / 3) return LONG_MIN;
+         if (i == n / 2) return LONG_MAX;
+         return static_cast<ELM>(rng.next());
+       }},
+      {"all_equal", [](long, long, Xoshiro256&) { return ELM{42}; }},
+      {"two_values",
+       [](long, long, Xoshiro256& rng) {
+         return rng.next() % 2 ? LONG_MAX : LONG_MIN;
+       }},
+      {"mod4",
+       [](long, long, Xoshiro256& rng) {
+         return static_cast<ELM>(rng.next() % 4);
+       }},
+      {"sorted", [](long i, long, Xoshiro256&) { return ELM{i}; }},
+      {"reverse", [](long i, long n, Xoshiro256&) { return ELM{n - i}; }},
+      {"organ_pipe",
+       [](long i, long n, Xoshiro256&) { return i < n / 2 ? i : n - 1 - i; }},
+      {"sawtooth", [](long i, long, Xoshiro256&) { return ELM{i % 61}; }},
+  };
+  for (long n : {2L, 31L, 32L, 33L, 34L, 65L, 1000L, 1L << 14, 1L << 20}) {
+    Xoshiro256 rng(static_cast<std::uint64_t>(n));
+    std::vector<std::pair<const char*, std::vector<ELM>>> inputs;
+    for (const auto& [name, gen] : shapes) {
+      std::vector<ELM> v(static_cast<std::size_t>(n));
+      for (long i = 0; i < n; ++i) v[static_cast<std::size_t>(i)] = gen(i, n, rng);
+      inputs.emplace_back(name, std::move(v));
+    }
+    inputs.emplace_back("median3_killer", median3_killer(n));
+    for (auto& [name, v] : inputs) {
+      auto expect = v;
+      std::sort(expect.begin(), expect.end());
+      apps::seqquick(v.data(), 0, n - 1);
+      ASSERT_EQ(v, expect) << name << " n=" << n;
+    }
+  }
+}
+
+// Median-of-3 Lomuto is quadratic on an organ pipe: without the depth
+// bound this sort takes over 20 minutes (~1.4 s at 2^16, x4 per doubling),
+// so the suite's 600 s ctest timeout fails it. With the bound it is a
+// fraction of a second.
+TEST(SeqQuick, DepthBoundKeepsOrganPipeFast) {
+  const long n = 1L << 21;
+  std::vector<ELM> v(static_cast<std::size_t>(n));
+  for (long i = 0; i < n; ++i)
+    v[static_cast<std::size_t>(i)] = i < n / 2 ? i : n - 1 - i;
+  auto expect = v;
+  std::sort(expect.begin(), expect.end());
+  apps::seqquick(v.data(), 0, n - 1);
+  EXPECT_EQ(v, expect);
+}
+
+TEST(SeqQuick, SortsOnlyItsRange) {
+  // A sub-range is sorted in place; its neighbours stay untouched, which
+  // the equal-pivot rule relies on (it reads the element left of a range).
+  std::vector<ELM> v(3000);
+  Xoshiro256 rng(12);
+  for (auto& x : v) x = static_cast<ELM>(rng.next_below(3));
+  const auto before = v;
+  apps::seqquick(v.data(), 1000, 1999);
+  EXPECT_TRUE(std::equal(v.begin(), v.begin() + 1000, before.begin()));
+  EXPECT_TRUE(std::equal(v.begin() + 2000, v.end(), before.begin() + 2000));
+  EXPECT_TRUE(std::is_sorted(v.begin() + 1000, v.begin() + 2000));
+  EXPECT_TRUE(std::is_permutation(v.begin() + 1000, v.begin() + 2000,
+                                  before.begin() + 1000));
+}
+
+// Sorted runs of random length 0..max_len with values 0..9, so most
+// comparisons are ties.
+std::vector<ELM> tie_run(Xoshiro256& rng, std::uint64_t max_len) {
+  std::vector<ELM> v(static_cast<std::size_t>(rng.next_below(max_len + 1)));
+  for (auto& x : v) x = static_cast<ELM>(rng.next_below(10));
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+TEST(MergePiece, EveryPieceMatchesStdMerge) {
+  Xoshiro256 rng(2024);
+  bool odd = false, even = false;
+  for (int iter = 0; iter < 150; ++iter) {
+    const auto a = tie_run(rng, 40), b = tie_run(rng, 40);
+    const long la = static_cast<long>(a.size()), lb = static_cast<long>(b.size());
+    const long total = la + lb;
+    (total % 2 ? odd : even) = true;
+    std::vector<ELM> full;
+    std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(full));
+    for (long t0 = 0; t0 <= total; ++t0) {
+      for (long t1 = t0; t1 <= total; ++t1) {
+        // Sentinels around the piece catch a write outside [t0, t1).
+        std::vector<ELM> out(static_cast<std::size_t>(total), -1);
+        apps::merge_piece(a.data(), la, b.data(), lb, t0, t1, out.data());
+        for (long t = 0; t < total; ++t) {
+          const ELM want = t0 <= t && t < t1 ? full[static_cast<std::size_t>(t)] : -1;
+          ASSERT_EQ(out[static_cast<std::size_t>(t)], want)
+              << "la=" << la << " lb=" << lb << " piece [" << t0 << ", " << t1
+              << ") t=" << t;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(odd && even);
+}
+
+TEST(MergePiece, ConsecutivePiecesReproduceTheMerge) {
+  // The co-rank cuts of adjacent pieces meet: pieces written one after the
+  // other, at any piece size, concatenate to std::merge.
+  Xoshiro256 rng(77);
+  for (int iter = 0; iter < 100; ++iter) {
+    const auto a = tie_run(rng, 300), b = tie_run(rng, 300);
+    const long la = static_cast<long>(a.size()), lb = static_cast<long>(b.size());
+    std::vector<ELM> full;
+    std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(full));
+    const long piece = 1 + static_cast<long>(rng.next_below(64));
+    std::vector<ELM> out(full.size(), -1);
+    for (long t0 = 0; t0 < la + lb; t0 += piece)
+      apps::merge_piece(a.data(), la, b.data(), lb, t0,
+                        std::min(la + lb, t0 + piece), out.data());
+    ASSERT_EQ(out, full) << "la=" << la << " lb=" << lb << " piece=" << piece;
+  }
+}
+
+TEST(SeqMerge, MatchesStdMergeWithOneRunEmpty) {
+  Xoshiro256 rng(31);
+  for (long len : {1L, 2L, 7L, 64L}) {
+    std::vector<ELM> run(static_cast<std::size_t>(len));
+    for (auto& x : run) x = static_cast<ELM>(rng.next_below(10));
+    std::sort(run.begin(), run.end());
+    std::vector<ELM> dest(run.size(), -1);
+    apps::seqmerge(run.data(), 0, len - 1, len, len - 1, dest.data());
+    EXPECT_EQ(dest, run) << "second run empty, len=" << len;
+    std::fill(dest.begin(), dest.end(), -1);
+    apps::seqmerge(run.data(), 0, -1, 0, len - 1, dest.data());
+    EXPECT_EQ(dest, run) << "first run empty, len=" << len;
+  }
+}
+
+TEST(SeqMerge, MatchesStdMergeOnOddAndEvenTotals) {
+  // Adjacent runs inside a larger array, merged into dest at the same
+  // offset, as the sort tree calls it.
+  Xoshiro256 rng(5);
+  for (long la : {1L, 2L, 3L, 500L, 4096L}) {
+    for (long lb : {1L, 2L, 5L, 501L, 4096L}) {
+      const long off = 3;
+      std::vector<ELM> data(static_cast<std::size_t>(off + la + lb));
+      for (auto& x : data) x = static_cast<ELM>(rng.next());
+      std::sort(data.begin() + off, data.begin() + off + la);
+      std::sort(data.begin() + off + la, data.end());
+      std::vector<ELM> want(data.begin(), data.begin() + off);
+      std::merge(data.begin() + off, data.begin() + off + la,
+                 data.begin() + off + la, data.end(), std::back_inserter(want));
+      std::vector<ELM> dest(data.begin(), data.begin() + off);
+      dest.resize(data.size(), -1);
+      apps::seqmerge(data.data(), off, off + la - 1, off + la,
+                     off + la + lb - 1, dest.data());
+      ASSERT_EQ(dest, want) << "la=" << la << " lb=" << lb;
+    }
+  }
+}
+
 TEST(SeqMerge, MergesAdjacentRuns) {
   std::vector<ELM> data = {1, 3, 5, 7, 2, 4, 6, 8};
   std::vector<ELM> dest(8, 0);
@@ -88,9 +272,12 @@ TEST(CoRank, MatchesBruteForceOnRandomRuns) {
       ASSERT_GE(ib, 0);
       ASSERT_LE(ib, lb);
       // The first t merged elements must be exactly a[0..ia) ∪ b[0..ib)
-      // as multisets: check boundary conditions instead of re-merging.
+      // as multisets: check boundary conditions instead of re-merging. The
+      // strict side is std::merge's tie rule (a first), which makes the
+      // split unique and monotone in t, so adjacent pieces never overlap.
       if (ia > 0 && ib < lb) ASSERT_LE(a[ia - 1], b[ib]);
-      if (ib > 0 && ia < la) ASSERT_LE(b[ib - 1], a[ia]);
+      if (ib > 0 && ia < la) ASSERT_LT(b[ib - 1], a[ia]);
+      if (t > 0) ASSERT_LE(apps::co_rank(t - 1, a.data(), la, b.data(), lb), ia);
       (void)merged;
     }
   }
