@@ -25,34 +25,6 @@ std::vector<ELM> random_data(long n, std::uint64_t seed) {
   return v;
 }
 
-TEST(SeqQuick, SortsVariousShapes) {
-  for (long n : {0L, 1L, 2L, 7L, 100L, 4097L}) {
-    auto v = random_data(n, 5 + static_cast<std::uint64_t>(n));
-    auto expect = v;
-    std::sort(expect.begin(), expect.end());
-    if (n > 0) apps::seqquick(v.data(), 0, n - 1);
-    EXPECT_EQ(v, expect) << "n=" << n;
-  }
-}
-
-TEST(SeqQuick, AlreadySortedAndReverse) {
-  std::vector<ELM> up(1000), down(1000);
-  for (long i = 0; i < 1000; ++i) {
-    up[static_cast<std::size_t>(i)] = i;
-    down[static_cast<std::size_t>(i)] = 999 - i;
-  }
-  apps::seqquick(up.data(), 0, 999);
-  apps::seqquick(down.data(), 0, 999);
-  EXPECT_TRUE(std::is_sorted(up.begin(), up.end()));
-  EXPECT_TRUE(std::is_sorted(down.begin(), down.end()));
-}
-
-TEST(SeqQuick, AllEqualElements) {
-  std::vector<ELM> v(500, 42);
-  apps::seqquick(v.data(), 0, 499);
-  for (ELM x : v) EXPECT_EQ(x, 42);
-}
-
 // Musser's median-of-3 killer for n = 2k (k rounded down for odd n; the
 // last slot of an odd n holds 2k + 1).
 std::vector<ELM> median3_killer(long n) {
@@ -69,7 +41,7 @@ std::vector<ELM> median3_killer(long n) {
 }
 
 // Sizes straddle the insertion-sort threshold (32) and the leaf size
-// (2^14).
+// (2^14); 0 and 1 are the empty and one-element ranges.
 TEST(SeqQuick, MatchesStdSortOnEveryShape) {
   using Gen = std::function<ELM(long i, long n, Xoshiro256& rng)>;
   const std::vector<std::pair<const char*, Gen>> shapes = {
@@ -94,7 +66,8 @@ TEST(SeqQuick, MatchesStdSortOnEveryShape) {
        [](long i, long n, Xoshiro256&) { return i < n / 2 ? i : n - 1 - i; }},
       {"sawtooth", [](long i, long, Xoshiro256&) { return ELM{i % 61}; }},
   };
-  for (long n : {2L, 31L, 32L, 33L, 34L, 65L, 1000L, 1L << 14, 1L << 20}) {
+  for (long n : {0L, 1L, 2L, 7L, 31L, 32L, 33L, 34L, 65L, 1000L, 4097L,
+                 1L << 14, 1L << 20}) {
     Xoshiro256 rng(static_cast<std::uint64_t>(n));
     std::vector<std::pair<const char*, std::vector<ELM>>> inputs;
     for (const auto& [name, gen] : shapes) {
@@ -232,20 +205,6 @@ TEST(SeqMerge, MatchesStdMergeOnOddAndEvenTotals) {
       ASSERT_EQ(dest, want) << "la=" << la << " lb=" << lb;
     }
   }
-}
-
-TEST(SeqMerge, MergesAdjacentRuns) {
-  std::vector<ELM> data = {1, 3, 5, 7, 2, 4, 6, 8};
-  std::vector<ELM> dest(8, 0);
-  apps::seqmerge(data.data(), 0, 3, 4, 7, dest.data());
-  EXPECT_EQ(dest, (std::vector<ELM>{1, 2, 3, 4, 5, 6, 7, 8}));
-}
-
-TEST(SeqMerge, EmptyRunHandled) {
-  std::vector<ELM> data = {1, 2, 3};
-  std::vector<ELM> dest(3, 0);
-  apps::seqmerge(data.data(), 0, 2, 3, 2, dest.data());  // second run empty
-  EXPECT_EQ(dest, (std::vector<ELM>{1, 2, 3}));
 }
 
 // Property: co_rank(t) splits so that merging prefix pieces reproduces the
