@@ -128,10 +128,9 @@ void merge_piece(const ELM* a, long la, const ELM* b, long lb, long t0,
   const long ja = co_rank(t1, a, la, b, lb);
   long ka = ja - 1, kb = t1 - ja - 1;  // the last elements of a and b to take
   long o = t0, e = t1 - 1;
-  // Two-ended: each pass writes the smallest remaining element at the
-  // front and the largest at the back, two independent select chains. On a
-  // tie the front takes a and the back takes b, so the ends never take the
-  // same element, and the output equals std::merge's.
+  // The front and back select chains are independent, so one pass runs
+  // both; their tie rules (front takes a, back takes b) keep the two ends
+  // from ever taking the same element.
   while (ia <= ka && ib <= kb) {
     const ELM x = a[ia], y = b[ib];
     const bool ta = x <= y;
