@@ -6,14 +6,8 @@
 // paper's y-axis. Expected shape: all three scale similarly, SMPSs slightly
 // ahead (it needs no barriers between merge levels — dependencies release
 // merges as their inputs arrive).
-//
-// BM_SeqQuick/16384 and BM_MergePiece/16384 time the two task bodies that
-// every series (and the sequential baseline) runs, alone on one thread, with
-// an ns-per-element counter: the leaf sort of 2^14 keys and one merge piece
-// of 2^14 outputs.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <mutex>
 #include <vector>
 
@@ -109,65 +103,6 @@ void BM_MultisortOmpReal(benchmark::State& state) {
     ompreal::multisort(d, t, n, kQuick, kMerge, threads);
   });
 }
-
-std::vector<ELM> random_keys(long n, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::vector<ELM> v(static_cast<std::size_t>(n));
-  for (auto& x : v) x = static_cast<ELM>(rng.next());
-  return v;
-}
-
-/// Times `body` alone per iteration (after `setup`) and reports ns per
-/// element of `n`.
-template <typename SetupFn, typename BodyFn>
-void run_kernel_bench(benchmark::State& state, long n, SetupFn&& setup,
-                      BodyFn&& body) {
-  double total = 0.0;
-  for (auto _ : state) {
-    setup();
-    auto t0 = now_ns();
-    body();
-    const double secs = seconds_between(t0, now_ns());
-    state.SetIterationTime(secs);
-    total += secs;
-  }
-  state.counters["ns_per_elem"] =
-      total * 1e9 / (static_cast<double>(state.iterations()) * n);
-}
-
-void BM_SeqQuick(benchmark::State& state) {
-  const long n = state.range(0);
-  const auto input = random_keys(n, 15);
-  std::vector<ELM> v(input.size());
-  run_kernel_bench(
-      state, n, [&] { v = input; },
-      [&] {
-        apps::seqquick(v.data(), 0, n - 1);
-        benchmark::DoNotOptimize(v.data());
-      });
-}
-
-void BM_MergePiece(benchmark::State& state) {
-  const long n = state.range(0);
-  auto a = random_keys(n / 2, 16), b = random_keys(n - n / 2, 17);
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  std::vector<ELM> out(static_cast<std::size_t>(n));
-  run_kernel_bench(
-      state, n, [] {},
-      [&] {
-        apps::merge_piece(a.data(), n / 2, b.data(), n - n / 2, 0, n,
-                          out.data());
-        benchmark::DoNotOptimize(out.data());
-      });
-}
-
-BENCHMARK(BM_SeqQuick)
-    ->Arg(1 << 14)
-    ->Unit(benchmark::kMicrosecond)->UseManualTime();
-BENCHMARK(BM_MergePiece)
-    ->Arg(1 << 14)
-    ->Unit(benchmark::kMicrosecond)->UseManualTime();
 
 BENCHMARK(BM_MultisortSmpss)
     ->Name("Fig14/SMPSs")

@@ -42,6 +42,12 @@ struct MultisortTasks {
 ///  * Depth bound (introsort): after 2 * floor(log2 n) partitions a range is
 ///    heap-sorted, so no input (organ pipe, median-of-3 killer) is quadratic.
 ///  * Insertion sort finishes ranges of at most 32 elements.
+/// It is built for random keys, which every multisort caller draws, and
+/// trades structured input for them. Against a median-of-3 Hoare quicksort
+/// at 2^14 keys (one thread, 4-vCPU Xeon, gcc 12.2 -O2), random keys take
+/// 438-639 us against 1,082-1,398 us, but sorted input takes 509 against
+/// 140 us, reverse 616 against 184 us, and organ pipe, which reaches the
+/// depth bound, 2,277 against 841 us (x2.7-3.6).
 void seqquick(ELM* data, long i, long j);
 
 /// Merge sorted data[i1..j1] and data[i2..j2] into dest starting at dest[i1]
