@@ -42,7 +42,7 @@ struct MultisortTasks {
 ///  * Depth bound (introsort): after 2 * floor(log2 n) partitions a range is
 ///    heap-sorted, so no input (organ pipe, median-of-3 killer) is quadratic.
 ///  * Insertion sort finishes ranges of at most 32 elements.
-/// It is built for random keys, which every multisort caller draws, and
+/// It is built for random keys, which every multisort benchmark draws, and
 /// trades structured input for them. Against a median-of-3 Hoare quicksort
 /// at 2^14 keys (one thread, 4-vCPU Xeon, gcc 12.2 -O2), random keys take
 /// 438-639 us against 1,082-1,398 us, but sorted input takes 509 against
