@@ -3,7 +3,9 @@
 // single solution array — "a sequential version should not contain
 // artifacts necessary for a parallel paradigm").
 //
-// Expected shape: all three parallel models scale; the fj/omp3 versions pay
+// Four series: SMPSs and the three dependency-unaware baselines, one
+// recursion run on three task frames (Cilk-like, OMP3-like, and real OpenMP
+// when the build has it). Expected shape: all four scale; the baselines pay
 // for their per-task manual board copies at every node while SMPSs's
 // runtime-renamed copies are made only when a hazard requires one.
 #include <benchmark/benchmark.h>
@@ -92,7 +94,7 @@ void BM_NQueensOmpReal(benchmark::State& state) {
     return;
   }
   run_bench(state, [](unsigned threads) {
-    return ompreal::nqueens(kN, kDepth, threads);
+    return apps::nqueens_omp(threads, kN, kDepth);
   });
 }
 BENCHMARK(BM_NQueensOmpReal)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "baselines/omp_real/omp_tasks.hpp"
 #include "dep/representant.hpp"
 
 namespace smpss::apps {
@@ -376,45 +377,53 @@ void multisort_smpss_repr(Runtime& rt, const MultisortTasks& tt, ELM* data,
   rt.barrier();  // ctx.nodes must outlive all tasks
 }
 
-// --- Cilk-like baseline -----------------------------------------------------------
+// --- dependency-unaware baselines (Cilk-like, OMP3-like, real OpenMP) ----------
 
 namespace {
 
-void fj_merge(fj::Context& ctx, const ELM* a, long la, const ELM* b, long lb,
+/// Merges output positions [t0, t1) of merge(a[0..la), b[0..lb)) into out,
+/// halving the range down to `merge_size`: the first half is a child task,
+/// the second runs inline.
+template <typename Frame>
+void dc_merge(Frame& f, const ELM* a, long la, const ELM* b, long lb,
               ELM* out, long t0, long t1, long merge_size) {
   if (t1 - t0 <= merge_size) {
     merge_piece(a, la, b, lb, t0, t1, out);
     return;
   }
-  long mid = (t0 + t1) / 2;
-  ctx.spawn([=](fj::Context& c) { fj_merge(c, a, la, b, lb, out, t0, mid, merge_size); });
-  ctx.spawn([=](fj::Context& c) { fj_merge(c, a, la, b, lb, out, mid, t1, merge_size); });
-  ctx.sync();
+  const long mid = (t0 + t1) / 2;
+  f.spawn([=](Frame& c) { dc_merge(c, a, la, b, lb, out, t0, mid, merge_size); });
+  dc_merge(f, a, la, b, lb, out, mid, t1, merge_size);
+  f.sync();
 }
 
-void fj_sort(fj::Context& ctx, ELM* data, ELM* tmp, long i, long j,
-             long quick_size, long merge_size) {
-  long size = j - i + 1;
+/// The multisort recursion with sync() in place of the dependencies: the
+/// quarter sorts, then the two half merges, then the final merge. Each
+/// phase spawns every part but its last and runs the last inline, and each
+/// call returns only after every task it spawned is done.
+template <typename Frame>
+void dc_sort(Frame& f, ELM* data, ELM* tmp, long i, long j, long quick_size,
+             long merge_size) {
+  const long size = j - i + 1;
   if (size < quick_size || size < 8) {
     seqquick(data, i, j);
     return;
   }
-  Quarters q = split4(i, j);
-  ctx.spawn([=](fj::Context& c) { fj_sort(c, data, tmp, q.i1, q.j1, quick_size, merge_size); });
-  ctx.spawn([=](fj::Context& c) { fj_sort(c, data, tmp, q.i2, q.j2, quick_size, merge_size); });
-  ctx.spawn([=](fj::Context& c) { fj_sort(c, data, tmp, q.i3, q.j3, quick_size, merge_size); });
-  fj_sort(ctx, data, tmp, q.i4, q.j4, quick_size, merge_size);
-  ctx.sync();
-  ctx.spawn([=](fj::Context& c) {
-    fj_merge(c, data + q.i1, q.j1 - q.i1 + 1, data + q.i2, q.j2 - q.i2 + 1,
+  const Quarters q = split4(i, j);
+  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i1, q.j1, quick_size, merge_size); });
+  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i2, q.j2, quick_size, merge_size); });
+  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i3, q.j3, quick_size, merge_size); });
+  dc_sort(f, data, tmp, q.i4, q.j4, quick_size, merge_size);
+  f.sync();
+  f.spawn([=](Frame& c) {
+    dc_merge(c, data + q.i1, q.j1 - q.i1 + 1, data + q.i2, q.j2 - q.i2 + 1,
              tmp + q.i1, 0, q.j2 - q.i1 + 1, merge_size);
   });
-  fj_merge(ctx, data + q.i3, q.j3 - q.i3 + 1, data + q.i4, q.j4 - q.i4 + 1,
+  dc_merge(f, data + q.i3, q.j3 - q.i3 + 1, data + q.i4, q.j4 - q.i4 + 1,
            tmp + q.i3, 0, q.j4 - q.i3 + 1, merge_size);
-  ctx.sync();
-  fj_merge(ctx, tmp + q.i1, q.j2 - q.i1 + 1, tmp + q.i3, q.j4 - q.i3 + 1,
+  f.sync();
+  dc_merge(f, tmp + q.i1, q.j2 - q.i1 + 1, tmp + q.i3, q.j4 - q.i3 + 1,
            data + q.i1, 0, q.j4 - q.i1 + 1, merge_size);
-  ctx.sync();
 }
 
 }  // namespace
@@ -422,56 +431,20 @@ void fj_sort(fj::Context& ctx, ELM* data, ELM* tmp, long i, long j,
 void multisort_fj(fj::Scheduler& s, ELM* data, ELM* tmp, long n,
                   long quick_size, long merge_size) {
   s.run_root([&](fj::Context& ctx) {
-    fj_sort(ctx, data, tmp, 0, n - 1, quick_size, merge_size);
+    dc_sort(ctx, data, tmp, 0, n - 1, quick_size, merge_size);
   });
 }
-
-// --- OpenMP-3-like baseline ---------------------------------------------------------
-
-namespace {
-
-void omp3_merge(omp3::TaskPool& p, const ELM* a, long la, const ELM* b,
-                long lb, ELM* out, long t0, long t1, long merge_size) {
-  if (t1 - t0 <= merge_size) {
-    merge_piece(a, la, b, lb, t0, t1, out);
-    return;
-  }
-  long mid = (t0 + t1) / 2;
-  p.task([=, &p] { omp3_merge(p, a, la, b, lb, out, t0, mid, merge_size); });
-  p.task([=, &p] { omp3_merge(p, a, la, b, lb, out, mid, t1, merge_size); });
-  p.taskwait();
-}
-
-void omp3_sort(omp3::TaskPool& p, ELM* data, ELM* tmp, long i, long j,
-               long quick_size, long merge_size) {
-  long size = j - i + 1;
-  if (size < quick_size || size < 8) {
-    seqquick(data, i, j);
-    return;
-  }
-  Quarters q = split4(i, j);
-  p.task([=, &p] { omp3_sort(p, data, tmp, q.i1, q.j1, quick_size, merge_size); });
-  p.task([=, &p] { omp3_sort(p, data, tmp, q.i2, q.j2, quick_size, merge_size); });
-  p.task([=, &p] { omp3_sort(p, data, tmp, q.i3, q.j3, quick_size, merge_size); });
-  omp3_sort(p, data, tmp, q.i4, q.j4, quick_size, merge_size);
-  p.taskwait();
-  p.task([=, &p] {
-    omp3_merge(p, data + q.i1, q.j1 - q.i1 + 1, data + q.i2, q.j2 - q.i2 + 1,
-               tmp + q.i1, 0, q.j2 - q.i1 + 1, merge_size);
-  });
-  omp3_merge(p, data + q.i3, q.j3 - q.i3 + 1, data + q.i4, q.j4 - q.i4 + 1,
-             tmp + q.i3, 0, q.j4 - q.i3 + 1, merge_size);
-  p.taskwait();
-  omp3_merge(p, tmp + q.i1, q.j2 - q.i1 + 1, tmp + q.i3, q.j4 - q.i3 + 1,
-             data + q.i1, 0, q.j4 - q.i1 + 1, merge_size);
-  p.taskwait();
-}
-
-}  // namespace
 
 void multisort_omp3(omp3::TaskPool& p, ELM* data, ELM* tmp, long n,
                     long quick_size, long merge_size) {
-  p.run_root([&] { omp3_sort(p, data, tmp, 0, n - 1, quick_size, merge_size); });
+  p.run_root([&] { dc_sort(p, data, tmp, 0, n - 1, quick_size, merge_size); });
+}
+
+bool multisort_omp(unsigned threads, ELM* data, ELM* tmp, long n,
+                   long quick_size, long merge_size) {
+  return ompreal::run(threads, [&](ompreal::Frame& f) {
+    dc_sort(f, data, tmp, 0, n - 1, quick_size, merge_size);
+  });
 }
 
 }  // namespace smpss::apps

@@ -11,7 +11,8 @@
 //    output chunk region.
 //  * smpss_repr:    the Sec. V.B representant build — Fig. 7 shape, one
 //    representant per sort-tree node, data arrays passed as opaque pointers.
-//  * fj / omp3:     Cilk-like and OpenMP-3-like baselines (Fig. 14 curves).
+//  * fj / omp3 / omp: the Cilk-like, OpenMP-3-like and real-OpenMP
+//    baselines (Fig. 14 curves), one decomposition over three task frames.
 //  * seq:           the same decomposition run inline (Fig. 14's baseline).
 #pragma once
 
@@ -87,12 +88,25 @@ void multisort_smpss_regions(Runtime& rt, const MultisortTasks& tt, ELM* data,
 void multisort_smpss_repr(Runtime& rt, const MultisortTasks& tt, ELM* data,
                           ELM* tmp, long n, long quick_size);
 
-/// Cilk-like baseline.
+/// The dependency-unaware baselines: one recursion, written once over a
+/// task frame (spawn a child, sync all children of the current task), with
+/// a sync() wherever SMPSs has a dependency. Each split spawns every part
+/// but its last and runs the last inline: three quarter sorts, the first
+/// half merge, and the first half of every merge range down to
+/// `merge_size`. At 2^22 keys, quick 2^15, merge 2^14 a sort spawns 2,133
+/// tasks on every frame.
+///
+/// Cilk-like (fj::Scheduler).
 void multisort_fj(fj::Scheduler& s, ELM* data, ELM* tmp, long n,
                   long quick_size, long merge_size);
 
-/// OpenMP-3-like baseline.
+/// OpenMP-3-like (omp3::TaskPool).
 void multisort_omp3(omp3::TaskPool& p, ELM* data, ELM* tmp, long n,
                     long quick_size, long merge_size);
+
+/// Real OpenMP tasks on `threads` threads (ompreal::Frame). Returns false,
+/// with the data untouched, when the build has no OpenMP.
+bool multisort_omp(unsigned threads, ELM* data, ELM* tmp, long n,
+                   long quick_size, long merge_size);
 
 }  // namespace smpss::apps

@@ -1,8 +1,11 @@
 #include "apps/nqueens.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <vector>
+
+#include "baselines/omp_real/omp_tasks.hpp"
 
 namespace smpss::apps {
 
@@ -137,10 +140,16 @@ long nqueens_smpss(Runtime& rt, const NQueensTasks& tt, int n,
   return total.load(std::memory_order_relaxed);
 }
 
+// --- dependency-unaware baselines (Cilk-like, OMP3-like, real OpenMP) ----------
+
 namespace {
 
-void fj_rec(fj::Context& ctx, std::vector<int> board, int d, int n, int cutoff,
-            std::atomic<long>& total) {
+/// One child task per safe column, each with its own copy of the partial
+/// solution array, down to `cutoff`; a node at the cutoff counts its
+/// completions inline. Returns after every task it spawned is done.
+template <typename Frame>
+void dc_queens(Frame& f, std::vector<int> board, int d, int n, int cutoff,
+               std::atomic<long>& total) {
   if (d >= cutoff) {
     total.fetch_add(count_tail(board.data(), d, n), std::memory_order_relaxed);
     return;
@@ -148,58 +157,45 @@ void fj_rec(fj::Context& ctx, std::vector<int> board, int d, int n, int cutoff,
   for (int c = 0; c < n; ++c) {
     if (!safe(board.data(), d, c)) continue;
     // Manual duplication of the partial solution array — the artifact the
-    // paper points out Cilk requires.
+    // paper points out Cilk and OpenMP tasks require.
     std::vector<int> child = board;
     child[d] = c;
-    ctx.spawn([child = std::move(child), d, n, cutoff, &total](
-                  fj::Context& c2) mutable {
-      fj_rec(c2, std::move(child), d + 1, n, cutoff, total);
+    f.spawn([child = std::move(child), d, n, cutoff, &total](
+                Frame& c2) mutable {
+      dc_queens(c2, std::move(child), d + 1, n, cutoff, total);
     });
   }
-  ctx.sync();
+  f.sync();
+}
+
+std::vector<int> empty_board(int n) {
+  return std::vector<int>(static_cast<std::size_t>(n), 0);
 }
 
 }  // namespace
 
 long nqueens_fj(fj::Scheduler& s, int n, int task_depth) {
-  const int cutoff = std::max(0, n - task_depth);
   std::atomic<long> total{0};
   s.run_root([&](fj::Context& ctx) {
-    fj_rec(ctx, std::vector<int>(static_cast<std::size_t>(n), 0), 0, n, cutoff,
-           total);
+    dc_queens(ctx, empty_board(n), 0, n, std::max(0, n - task_depth), total);
   });
   return total.load(std::memory_order_relaxed);
 }
-
-namespace {
-
-void omp3_rec(omp3::TaskPool& p, std::vector<int> board, int d, int n,
-              int cutoff, std::atomic<long>& total) {
-  if (d >= cutoff) {
-    total.fetch_add(count_tail(board.data(), d, n), std::memory_order_relaxed);
-    return;
-  }
-  for (int c = 0; c < n; ++c) {
-    if (!safe(board.data(), d, c)) continue;
-    std::vector<int> child = board;  // per-task copy, as the paper describes
-    child[d] = c;
-    p.task([child = std::move(child), d, n, cutoff, &p, &total]() mutable {
-      omp3_rec(p, std::move(child), d + 1, n, cutoff, total);
-    });
-  }
-  p.taskwait();
-}
-
-}  // namespace
 
 long nqueens_omp3(omp3::TaskPool& p, int n, int task_depth) {
-  const int cutoff = std::max(0, n - task_depth);
   std::atomic<long> total{0};
   p.run_root([&] {
-    omp3_rec(p, std::vector<int>(static_cast<std::size_t>(n), 0), 0, n, cutoff,
-             total);
+    dc_queens(p, empty_board(n), 0, n, std::max(0, n - task_depth), total);
   });
   return total.load(std::memory_order_relaxed);
+}
+
+long nqueens_omp(unsigned threads, int n, int task_depth) {
+  std::atomic<long> total{0};
+  const bool ran = ompreal::run(threads, [&](ompreal::Frame& f) {
+    dc_queens(f, empty_board(n), 0, n, std::max(0, n - task_depth), total);
+  });
+  return ran ? total.load(std::memory_order_relaxed) : -1;
 }
 
 }  // namespace smpss::apps

@@ -15,8 +15,9 @@
 // the board whenever pending readers exist, i.e. it performs exactly the
 // per-sibling copies the other models need by hand. Leaf counting tasks read
 // the board version their branch produced and accumulate into an opaque
-// atomic counter. The fj/omp3 baselines copy the board manually, as the
-// paper describes; the sequential version uses a single board.
+// atomic counter. The Cilk-like, OMP3-like and real-OpenMP baselines copy
+// the board manually, as the paper describes; the sequential version uses a
+// single board.
 #pragma once
 
 #include "baselines/forkjoin/forkjoin.hpp"
@@ -43,12 +44,20 @@ long nqueens_seq(int n);
 /// with a fan-out far beyond the worker count.
 long nqueens_smpss(Runtime& rt, const NQueensTasks& tt, int n, int task_depth);
 
-/// Cilk-like baseline: one task per node, each with its own board copy,
-/// fully recursive ("the Cilk version is totally recursive").
+/// The dependency-unaware baselines: one recursion, written once over a
+/// task frame. Every prefix node above the cutoff `n - task_depth` spawns
+/// one child task per safe column, each carrying its own copy of the board,
+/// and syncs them; a node at the cutoff counts its last `task_depth` levels
+/// sequentially inside its task.
+///
+/// Cilk-like (fj::Scheduler).
 long nqueens_fj(fj::Scheduler& s, int n, int task_depth);
 
-/// OpenMP-3-like baseline: nested tasks with per-task board copies; the
-/// last `task_depth` levels run sequentially inside one task.
+/// OpenMP-3-like (omp3::TaskPool).
 long nqueens_omp3(omp3::TaskPool& p, int n, int task_depth);
+
+/// Real OpenMP tasks on `threads` threads (ompreal::Frame); -1 when the
+/// build has no OpenMP.
+long nqueens_omp(unsigned threads, int n, int task_depth);
 
 }  // namespace smpss::apps

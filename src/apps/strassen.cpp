@@ -295,88 +295,6 @@ void strassen_smpss(Runtime& rt, const StrassenTasks& tt, HyperMatrix& A,
   rt.barrier();  // temps in ctx.arena stay alive until here
 }
 
-namespace {
-void seq_rec(const View& A, const View& B, const View& C,
-             const blas::Kernels& k, int m,
-             std::vector<std::unique_ptr<HyperMatrix>>& arena);
-
-void seq_binop(const View& a, const View& b, const View& d,
-               const blas::Kernels& k, int m, bool add_op) {
-  for (int i = 0; i < a.n; ++i)
-    for (int j = 0; j < a.n; ++j) {
-      if (add_op)
-        k.add(m, a.block(i, j), b.block(i, j), d.block(i, j));
-      else
-        k.sub(m, a.block(i, j), b.block(i, j), d.block(i, j));
-    }
-}
-void seq_acc(const View& a, const View& d, int m, bool negate) {
-  for (int i = 0; i < a.n; ++i)
-    for (int j = 0; j < a.n; ++j) {
-      if (negate)
-        body_acc_sub(m, a.block(i, j), d.block(i, j));
-      else
-        body_acc_add(m, a.block(i, j), d.block(i, j));
-    }
-}
-
-void seq_rec(const View& A, const View& B, const View& C,
-             const blas::Kernels& k, int m,
-             std::vector<std::unique_ptr<HyperMatrix>>& arena) {
-  if (A.n == 1) {
-    body_mul_overwrite(m, &k, A.block(0, 0), B.block(0, 0), C.block(0, 0));
-    return;
-  }
-  const int h = A.n / 2;
-  auto fresh = [&](int n) {
-    arena.push_back(std::make_unique<HyperMatrix>(n, m, true));
-    return View{arena.back().get(), 0, 0, n};
-  };
-  View A11 = A.quad(0, 0), A12 = A.quad(0, 1), A21 = A.quad(1, 0),
-       A22 = A.quad(1, 1);
-  View B11 = B.quad(0, 0), B12 = B.quad(0, 1), B21 = B.quad(1, 0),
-       B22 = B.quad(1, 1);
-  View C11 = C.quad(0, 0), C12 = C.quad(0, 1), C21 = C.quad(1, 0),
-       C22 = C.quad(1, 1);
-  View tS = fresh(h), tT = fresh(h);
-  View M1 = fresh(h), M2 = fresh(h), M3 = fresh(h), M4 = fresh(h),
-       M5 = fresh(h), M6 = fresh(h), M7 = fresh(h);
-  seq_binop(A11, A22, tS, k, m, true);
-  seq_binop(B11, B22, tT, k, m, true);
-  seq_rec(tS, tT, M1, k, m, arena);
-  seq_binop(A21, A22, tS, k, m, true);
-  seq_rec(tS, B11, M2, k, m, arena);
-  seq_binop(B12, B22, tT, k, m, false);
-  seq_rec(A11, tT, M3, k, m, arena);
-  seq_binop(B21, B11, tT, k, m, false);
-  seq_rec(A22, tT, M4, k, m, arena);
-  seq_binop(A11, A12, tS, k, m, true);
-  seq_rec(tS, B22, M5, k, m, arena);
-  seq_binop(A21, A11, tS, k, m, false);
-  seq_binop(B11, B12, tT, k, m, true);
-  seq_rec(tS, tT, M6, k, m, arena);
-  seq_binop(A12, A22, tS, k, m, false);
-  seq_binop(B21, B22, tT, k, m, true);
-  seq_rec(tS, tT, M7, k, m, arena);
-  seq_binop(M1, M4, C11, k, m, true);
-  seq_acc(M5, C11, m, true);
-  seq_acc(M7, C11, m, false);
-  seq_binop(M3, M5, C12, k, m, true);
-  seq_binop(M2, M4, C21, k, m, true);
-  seq_binop(M1, M2, C22, k, m, false);
-  seq_acc(M3, C22, m, false);
-  seq_acc(M6, C22, m, false);
-}
-}  // namespace
-
-void strassen_seq(HyperMatrix& A, HyperMatrix& B, HyperMatrix& C,
-                  const blas::Kernels& k) {
-  SMPSS_CHECK(is_pow2(A.nblocks()), "Strassen needs a power-of-two block grid");
-  std::vector<std::unique_ptr<HyperMatrix>> arena;
-  seq_rec(View{&A, 0, 0, A.nblocks()}, View{&B, 0, 0, B.nblocks()},
-          View{&C, 0, 0, C.nblocks()}, k, A.block_dim(), arena);
-}
-
 double strassen_flops(int nb, int m) {
   if (nb == 1) {
     const double d = m;

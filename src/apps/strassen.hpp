@@ -41,10 +41,6 @@ struct StrassenTasks {
 void strassen_smpss(Runtime& rt, const StrassenTasks& tt, HyperMatrix& A,
                     HyperMatrix& B, HyperMatrix& C, const blas::Kernels& k);
 
-/// Sequential oracle: same recursion executed inline.
-void strassen_seq(HyperMatrix& A, HyperMatrix& B, HyperMatrix& C,
-                  const blas::Kernels& k);
-
 /// Strassen's operation count (the paper reports Gflops "calculated using
 /// Strassen's formula"): 7 recursive products + 18 half-size additions per
 /// level, 2 m^3 per leaf product.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sched/idle_wait.hpp"
@@ -35,6 +36,14 @@ class TaskPool {
   /// Wait for the children spawned by the current task, executing queued
   /// tasks meanwhile (a task scheduling point, as in OpenMP).
   void taskwait();
+
+  /// The task-frame interface shared with fj::Context and ompreal::Frame:
+  /// spawn(fn) is task() running fn(*this), sync() is taskwait().
+  template <typename F>
+  void spawn(F fn) {
+    task([this, fn = std::move(fn)]() mutable { fn(*this); });
+  }
+  void sync() { taskwait(); }
 
   /// Enter a "parallel region": run `root` on the caller with the pool's
   /// workers participating; returns after root and all tasks complete.

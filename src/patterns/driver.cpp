@@ -501,21 +501,25 @@ void execute_point_inplace(const PatternSpec& spec, PatternImage& img,
   img.at(t % img.nfields, p) = value_finish(spec, h, t, p);
 }
 
+/// One task per point and a sync() per timestep, on any task frame.
+template <typename Frame>
+void run_steps(Frame& f, const PatternSpec& spec, PatternImage& img) {
+  for (long t = 0; t < spec.steps; ++t) {
+    for (long p = 0; p < spec.width_at(t); ++p)
+      f.spawn([&spec, &img, t, p](Frame&) {
+        execute_point_inplace(spec, img, t, p);
+      });
+    f.sync();
+  }
+}
+
 }  // namespace
 
 PatternImage run_taskpool_baseline(const PatternSpec& spec, int nfields,
                                    unsigned nthreads) {
   PatternImage img = make_initial_image(spec, nfields);
   omp3::TaskPool pool(nthreads);
-  pool.run_root([&] {
-    for (long t = 0; t < spec.steps; ++t) {
-      for (long p = 0; p < spec.width_at(t); ++p)
-        pool.task([&spec, &img, t, p] {
-          execute_point_inplace(spec, img, t, p);
-        });
-      pool.taskwait();
-    }
-  });
+  pool.run_root([&] { run_steps(pool, spec, img); });
   return img;
 }
 
@@ -523,15 +527,7 @@ PatternImage run_forkjoin_baseline(const PatternSpec& spec, int nfields,
                                    unsigned nthreads) {
   PatternImage img = make_initial_image(spec, nfields);
   fj::Scheduler sched(nthreads);
-  sched.run_root([&](fj::Context& ctx) {
-    for (long t = 0; t < spec.steps; ++t) {
-      for (long p = 0; p < spec.width_at(t); ++p)
-        ctx.spawn([&spec, &img, t, p](fj::Context&) {
-          execute_point_inplace(spec, img, t, p);
-        });
-      ctx.sync();
-    }
-  });
+  sched.run_root([&](fj::Context& ctx) { run_steps(ctx, spec, img); });
   return img;
 }
 

@@ -1,6 +1,7 @@
 // Multisort tests: the sequential primitives (quicksort, two-run merge,
-// co-rank), and all four parallel builds (regions, representants, fork-join,
-// task pool) against std::sort, over sizes/thread counts/data shapes.
+// co-rank), and every parallel build (regions, representants, fork-join,
+// task pool, real OpenMP) against std::sort, over sizes/thread counts/data
+// shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "apps/multisort.hpp"
+#include "baselines/omp_real/omp_tasks.hpp"
 #include "common/rng.hpp"
 
 namespace smpss {
@@ -325,6 +327,16 @@ TEST_P(MultisortSuite, TaskPool) {
   std::vector<ELM> tmp(data.size());
   omp3::TaskPool p(threads);
   apps::multisort_omp3(p, data.data(), tmp.data(), n, qs, ms);
+  expect_sorted_equal(data, original);
+}
+
+TEST_P(MultisortSuite, OmpReal) {
+  if (!ompreal::available()) GTEST_SKIP() << "no OpenMP in this build";
+  auto [threads, n, qs, ms, seed] = GetParam();
+  auto data = random_data(n, seed);
+  auto original = data;
+  std::vector<ELM> tmp(data.size());
+  ASSERT_TRUE(apps::multisort_omp(threads, data.data(), tmp.data(), n, qs, ms));
   expect_sorted_equal(data, original);
 }
 

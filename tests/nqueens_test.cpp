@@ -1,12 +1,13 @@
 // N-Queens tests: known solution counts, agreement of all parallel builds
 // with the sequential oracle, and the renaming behavior the paper highlights
-// (SMPSs duplicates the partial-solution array automatically; Cilk/OMP3
-// builds do it by hand).
+// (SMPSs duplicates the partial-solution array automatically; the Cilk-like,
+// OMP3-like and real-OpenMP builds do it by hand).
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "apps/nqueens.hpp"
+#include "baselines/omp_real/omp_tasks.hpp"
 
 namespace smpss {
 namespace {
@@ -58,6 +59,12 @@ TEST_P(NQueensSuite, TaskPoolMatchesSeq) {
   auto [threads, n, depth] = GetParam();
   omp3::TaskPool p(threads);
   EXPECT_EQ(apps::nqueens_omp3(p, n, depth), apps::nqueens_seq(n));
+}
+
+TEST_P(NQueensSuite, OmpRealMatchesSeq) {
+  if (!ompreal::available()) GTEST_SKIP() << "no OpenMP in this build";
+  auto [threads, n, depth] = GetParam();
+  EXPECT_EQ(apps::nqueens_omp(threads, n, depth), apps::nqueens_seq(n));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, NQueensSuite,

@@ -284,9 +284,14 @@ TEST(SchedulerPolicy, ChainDepthSweepHighPriorityStillJumps) {
 /// emptiness probe of ReadyLists::preempt_chain). Two threads: the worker
 /// chains down a long dependency chain while the main thread (which never
 /// helps — it spin-waits) injects an urgent task mid-chain; the urgent body
-/// records how far the chain had advanced. The bound follows from the probe
-/// semantics: the chain can complete at most the in-flight task plus a
-/// couple of already-promoted steps before the high list is served.
+/// records how far the chain had advanced. The start point is measured on
+/// the worker: the main thread raises `spawned` once the urgent spawn has
+/// returned, and the first chain body to see it records the chain's count
+/// (or the urgent body does, if it runs first), so a main thread
+/// descheduled around the spawn cannot stretch the window. The bound
+/// follows from the probe semantics: the chain can complete at most the
+/// in-flight task plus a couple of already-promoted steps before the high
+/// list is served.
 void run_chain_preemption(Config cfg) {
   cfg.num_threads = 2;
   Runtime rt(cfg);
@@ -295,10 +300,18 @@ void run_chain_preemption(Config cfg) {
   constexpr int kChain = 64;
   std::atomic<int> counter{0};
   std::atomic<int> urgent_at{-1};
+  std::atomic<bool> spawned{false};
+  std::atomic<int> seen_at{-1};
+  auto note_seen = [&seen_at, &counter] {
+    int unset = -1;
+    seen_at.compare_exchange_strong(unset,
+                                    counter.load(std::memory_order_acquire));
+  };
   long sink = 0;
   for (int i = 0; i < kChain; ++i)
     rt.spawn(
-        [&counter](long* p) {
+        [&counter, &spawned, &note_seen](long* p) {
+          if (spawned.load(std::memory_order_acquire)) note_seen();
           burn_cycles(20000, p);
           counter.fetch_add(1, std::memory_order_release);
         },
@@ -306,21 +319,22 @@ void run_chain_preemption(Config cfg) {
   // Let the worker get well into the chain before injecting.
   while (counter.load(std::memory_order_acquire) < 8) {
   }
-  const int at_spawn = counter.load(std::memory_order_acquire);
   static int dummy = 0;
   rt.spawn(urgent_t,
-           [&urgent_at, &counter](const int* d) {
+           [&urgent_at, &counter, &note_seen](const int* d) {
              (void)d;
+             note_seen();
              urgent_at.store(counter.load(std::memory_order_acquire));
            },
            opaque(&dummy));
+  spawned.store(true, std::memory_order_release);
   // Spin without helping: the preemption must come from the chaining worker
   // honoring the probe, not from this thread draining the high list.
   while (urgent_at.load(std::memory_order_acquire) < 0) {
   }
   rt.barrier();
   EXPECT_EQ(sink, static_cast<long>(kChain) * 20000);
-  EXPECT_LE(urgent_at.load(), at_spawn + 5)
+  EXPECT_LE(urgent_at.load(), seen_at.load() + 5)
       << "urgent task waited out the chain (chain_depth=" << cfg.chain_depth
       << ")";
 }

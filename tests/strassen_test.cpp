@@ -1,7 +1,6 @@
-// Strassen tests: numerical agreement with plain GEMM, the sequential
-// recursion, renaming intensity (the paper's "intensive renaming test
-// case"), correctness with renaming disabled, the nested-spawn build, and
-// the flop formula.
+// Strassen tests: numerical agreement with plain GEMM, renaming intensity
+// (the paper's "intensive renaming test case"), correctness with renaming
+// disabled, the nested-spawn build, and the flop formula.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -58,22 +57,6 @@ INSTANTIATE_TEST_SUITE_P(
                       // ancestor exemptions keep the C-block accumulation
                       // chains deadlock-free
                       Param{4, 4, 8, false, true}));
-
-TEST(StrassenSeq, MatchesOracle) {
-  const int nb = 4, m = 8, n = nb * m;
-  FlatMatrix a(n), b(n), c_oracle(n);
-  fill_random(a, 41);
-  fill_random(b, 42);
-  apps::matmul_seq_flat(n, a.data(), b.data(), c_oracle.data(),
-                        blas::ref_kernels());
-  HyperMatrix ha(nb, m, true), hb(nb, m, true), hc(nb, m, true);
-  blocked_from_flat(ha, a.data());
-  blocked_from_flat(hb, b.data());
-  apps::strassen_seq(ha, hb, hc, blas::ref_kernels());
-  FlatMatrix c(n);
-  flat_from_blocked(c.data(), hc);
-  EXPECT_LE(max_abs_diff(c, c_oracle), 5e-2f * static_cast<float>(n));
-}
 
 TEST(StrassenRenaming, TemporaryReuseTriggersRenames) {
   const int nb = 4, m = 8;

@@ -3,6 +3,9 @@
 // growth on re-registration, and rename-pool reclamation ordering.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "runtime/runtime.hpp"
@@ -33,17 +36,23 @@ TEST(VersionLifecycle, WawOnUnproducedVersionRenames) {
   Config cfg;
   cfg.num_threads = 2;
   Runtime rt(cfg);
-  long slow = 0;
+  std::atomic<bool> second_spawned{false};
   int x = 0;
-  // First writer is slow; second out lands while the first version is
-  // unproduced -> fresh storage, no edge, both eventually retire.
+  // The first writer cannot finish before the second out is spawned, so
+  // that out lands while the first version is unproduced -> fresh storage,
+  // no edge, both eventually retire. The deadline only bounds a hang.
   rt.spawn(
-      [](int* p, long* s) {
-        for (int i = 0; i < 3000000; ++i) *s += i;
+      [&second_spawned](int* p) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!second_spawned.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
         *p = 1;
       },
-      out(&x), opaque(&slow));
+      out(&x));
   rt.spawn([](int* p) { *p = 2; }, out(&x));
+  second_spawned.store(true, std::memory_order_release);
   rt.barrier();
   EXPECT_EQ(x, 2);  // program order wins: the latest version is realigned
   EXPECT_GE(rt.stats().renames, 1u);
