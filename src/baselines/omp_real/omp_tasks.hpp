@@ -2,8 +2,8 @@
 // The paper's "OMP3 tasks" series used the Nanos research runtime; our
 // primary stand-in is baselines/taskpool. When libgomp is available the
 // dependency-unaware app decompositions (apps::multisort_omp,
-// apps::nqueens_omp) also run through actual `#pragma omp task` /
-// `taskwait`, giving an external reference point for Figs. 14/15.
+// apps::nqueens_omp) also run as real OpenMP tasks, giving an external
+// reference point for Figs. 14/15.
 //
 // Frame is the task-frame interface those decompositions are written
 // against, shared with fj::Context and omp3::TaskPool: spawn(fn) runs
@@ -20,7 +20,8 @@ bool available() noexcept;
 unsigned max_threads() noexcept;
 
 /// The current OpenMP task: spawn is `omp task firstprivate(fn)`, sync is
-/// `taskwait`. Stateless, so a child task builds its own.
+/// `taskwait`. Stateless, so a child task builds its own. Without OpenMP it
+/// still compiles (spawn runs fn inline), but run() never reaches it.
 struct Frame {
   template <typename F>
   void spawn(F fn) {

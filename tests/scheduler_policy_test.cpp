@@ -283,8 +283,8 @@ TEST(SchedulerPolicy, ChainDepthSweepHighPriorityStillJumps) {
 /// normal-priority chain at the next chain boundary (the racy high-list
 /// emptiness probe of ReadyLists::preempt_chain). Two threads: the worker
 /// chains down a long dependency chain while the main thread (which never
-/// helps — it spin-waits) injects an urgent task mid-chain; the urgent body
-/// records how far the chain had advanced. The start point is measured on
+/// helps — it waits, yielding) injects an urgent task mid-chain; the
+/// urgent body records how far the chain had advanced. The start point is measured on
 /// the worker: the main thread raises `spawned` once the urgent spawn has
 /// returned, and the first chain body to see it records the chain's count
 /// (or the urgent body does, if it runs first), so a main thread
@@ -307,18 +307,26 @@ void run_chain_preemption(Config cfg) {
     seen_at.compare_exchange_strong(unset,
                                     counter.load(std::memory_order_acquire));
   };
+  // The chain starts only once all of it is spawned, and both threads yield
+  // while they wait or between steps. Otherwise a worker woken onto the
+  // main thread's CPU runs the whole chain before the main thread runs
+  // again, the urgent task arrives after the chain, and the bound holds
+  // without any preemption.
+  std::atomic<bool> go{false};
   long sink = 0;
   for (int i = 0; i < kChain; ++i)
     rt.spawn(
-        [&counter, &spawned, &note_seen](long* p) {
+        [&counter, &go, &spawned, &note_seen](long* p) {
+          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+          std::this_thread::yield();
           if (spawned.load(std::memory_order_acquire)) note_seen();
           burn_cycles(20000, p);
           counter.fetch_add(1, std::memory_order_release);
         },
         inout(&sink));
+  go.store(true, std::memory_order_release);
   // Let the worker get well into the chain before injecting.
-  while (counter.load(std::memory_order_acquire) < 8) {
-  }
+  while (counter.load(std::memory_order_acquire) < 8) std::this_thread::yield();
   static int dummy = 0;
   rt.spawn(urgent_t,
            [&urgent_at, &counter, &note_seen](const int* d) {
@@ -328,10 +336,10 @@ void run_chain_preemption(Config cfg) {
            },
            opaque(&dummy));
   spawned.store(true, std::memory_order_release);
-  // Spin without helping: the preemption must come from the chaining worker
+  // Wait without helping: the preemption must come from the chaining worker
   // honoring the probe, not from this thread draining the high list.
-  while (urgent_at.load(std::memory_order_acquire) < 0) {
-  }
+  while (urgent_at.load(std::memory_order_acquire) < 0)
+    std::this_thread::yield();
   rt.barrier();
   EXPECT_EQ(sink, static_cast<long>(kChain) * 20000);
   EXPECT_LE(urgent_at.load(), seen_at.load() + 5)
