@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "baselines/omp_real/omp_tasks.hpp"
+#include "apps/frame_decompositions.hpp"
 #include "dep/representant.hpp"
 
 namespace smpss::apps {
@@ -147,25 +147,6 @@ void merge_piece(const ELM* a, long la, const ELM* b, long lb, long t0,
   // One run is used up; the rest of the other fills out[o..e].
   std::copy(b + ib, b + (kb + 1), std::copy(a + ia, a + (ka + 1), out + o));
 }
-
-namespace {
-
-struct Quarters {
-  long i1, j1, i2, j2, i3, j3, i4, j4;
-};
-
-Quarters split4(long i, long j) {
-  long size = j - i + 1;
-  long q = size / 4;
-  Quarters s;
-  s.i1 = i;           s.j1 = i + q - 1;
-  s.i2 = i + q;       s.j2 = i + 2 * q - 1;
-  s.i3 = i + 2 * q;   s.j3 = i + 3 * q - 1;
-  s.i4 = i + 3 * q;   s.j4 = j;
-  return s;
-}
-
-}  // namespace
 
 // --- sequential multisort -------------------------------------------------------
 
@@ -377,56 +358,8 @@ void multisort_smpss_repr(Runtime& rt, const MultisortTasks& tt, ELM* data,
   rt.barrier();  // ctx.nodes must outlive all tasks
 }
 
-// --- dependency-unaware baselines (Cilk-like, OMP3-like, real OpenMP) ----------
-
-namespace {
-
-/// Merges output positions [t0, t1) of merge(a[0..la), b[0..lb)) into out,
-/// halving the range down to `merge_size`: the first half is a child task,
-/// the second runs inline.
-template <typename Frame>
-void dc_merge(Frame& f, const ELM* a, long la, const ELM* b, long lb,
-              ELM* out, long t0, long t1, long merge_size) {
-  if (t1 - t0 <= merge_size) {
-    merge_piece(a, la, b, lb, t0, t1, out);
-    return;
-  }
-  const long mid = (t0 + t1) / 2;
-  f.spawn([=](Frame& c) { dc_merge(c, a, la, b, lb, out, t0, mid, merge_size); });
-  dc_merge(f, a, la, b, lb, out, mid, t1, merge_size);
-  f.sync();
-}
-
-/// The multisort recursion with sync() in place of the dependencies: the
-/// quarter sorts, then the two half merges, then the final merge. Each
-/// phase spawns every part but its last and runs the last inline, and each
-/// call returns only after every task it spawned is done.
-template <typename Frame>
-void dc_sort(Frame& f, ELM* data, ELM* tmp, long i, long j, long quick_size,
-             long merge_size) {
-  const long size = j - i + 1;
-  if (size < quick_size || size < 8) {
-    seqquick(data, i, j);
-    return;
-  }
-  const Quarters q = split4(i, j);
-  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i1, q.j1, quick_size, merge_size); });
-  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i2, q.j2, quick_size, merge_size); });
-  f.spawn([=](Frame& c) { dc_sort(c, data, tmp, q.i3, q.j3, quick_size, merge_size); });
-  dc_sort(f, data, tmp, q.i4, q.j4, quick_size, merge_size);
-  f.sync();
-  f.spawn([=](Frame& c) {
-    dc_merge(c, data + q.i1, q.j1 - q.i1 + 1, data + q.i2, q.j2 - q.i2 + 1,
-             tmp + q.i1, 0, q.j2 - q.i1 + 1, merge_size);
-  });
-  dc_merge(f, data + q.i3, q.j3 - q.i3 + 1, data + q.i4, q.j4 - q.i4 + 1,
-           tmp + q.i3, 0, q.j4 - q.i3 + 1, merge_size);
-  f.sync();
-  dc_merge(f, tmp + q.i1, q.j2 - q.i1 + 1, tmp + q.i3, q.j4 - q.i3 + 1,
-           data + q.i1, 0, q.j4 - q.i1 + 1, merge_size);
-}
-
-}  // namespace
+// --- dependency-unaware baselines (Cilk-like, OMP3-like; real OpenMP in
+// baselines/omp_real/omp_apps.cpp) -------------------------------------------
 
 void multisort_fj(fj::Scheduler& s, ELM* data, ELM* tmp, long n,
                   long quick_size, long merge_size) {
@@ -438,13 +371,6 @@ void multisort_fj(fj::Scheduler& s, ELM* data, ELM* tmp, long n,
 void multisort_omp3(omp3::TaskPool& p, ELM* data, ELM* tmp, long n,
                     long quick_size, long merge_size) {
   p.run_root([&] { dc_sort(p, data, tmp, 0, n - 1, quick_size, merge_size); });
-}
-
-bool multisort_omp(unsigned threads, ELM* data, ELM* tmp, long n,
-                   long quick_size, long merge_size) {
-  return ompreal::run(threads, [&](ompreal::Frame& f) {
-    dc_sort(f, data, tmp, 0, n - 1, quick_size, merge_size);
-  });
 }
 
 }  // namespace smpss::apps

@@ -5,7 +5,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "baselines/omp_real/omp_tasks.hpp"
+#include "apps/frame_decompositions.hpp"
 
 namespace smpss::apps {
 
@@ -25,8 +25,9 @@ struct Prefix {
   int cells[kMaxBoard];
 };
 
-/// Queen at (d, c) compatible with queens in rows [0, d)?
-bool safe(const int* board, int d, int c) {
+}  // namespace
+
+bool queen_safe(const int* board, int d, int c) {
   for (int k = 0; k < d; ++k) {
     int bc = board[k];
     if (bc == c || std::abs(bc - c) == d - k) return false;
@@ -34,20 +35,17 @@ bool safe(const int* board, int d, int c) {
   return true;
 }
 
-/// Count completions of the prefix board[0..d) sequentially.
 long count_tail(int* board, int d, int n) {
   if (d == n) return 1;
   long total = 0;
   for (int c = 0; c < n; ++c) {
-    if (safe(board, d, c)) {
+    if (queen_safe(board, d, c)) {
       board[d] = c;
       total += count_tail(board, d + 1, n);
     }
   }
   return total;
 }
-
-}  // namespace
 
 long nqueens_seq(int n) {
   std::vector<int> board(static_cast<std::size_t>(n), 0);
@@ -67,7 +65,7 @@ void nq_nested_rec(Runtime& rt, TaskType solve, Prefix p, int d, int n,
     return;
   }
   for (int c = 0; c < n; ++c) {
-    if (!safe(p.cells, d, c)) continue;
+    if (!queen_safe(p.cells, d, c)) continue;
     Prefix child = p;
     child.cells[d] = c;
     rt.spawn(solve, [&rt, solve, child, d, n, cutoff, total] {
@@ -130,7 +128,7 @@ long nqueens_smpss(Runtime& rt, const NQueensTasks& tt, int n,
       return;
     }
     for (int c = 0; c < n; ++c) {
-      if (!safe(shadow.data(), d, c)) continue;
+      if (!queen_safe(shadow.data(), d, c)) continue;
       shadow[d] = c;
       self(self, d + 1);
     }
@@ -140,62 +138,19 @@ long nqueens_smpss(Runtime& rt, const NQueensTasks& tt, int n,
   return total.load(std::memory_order_relaxed);
 }
 
-// --- dependency-unaware baselines (Cilk-like, OMP3-like, real OpenMP) ----------
-
-namespace {
-
-/// One child task per safe column, each with its own copy of the partial
-/// solution array, down to `cutoff`; a node at the cutoff counts its
-/// completions inline. Returns after every task it spawned is done.
-template <typename Frame>
-void dc_queens(Frame& f, std::vector<int> board, int d, int n, int cutoff,
-               std::atomic<long>& total) {
-  if (d >= cutoff) {
-    total.fetch_add(count_tail(board.data(), d, n), std::memory_order_relaxed);
-    return;
-  }
-  for (int c = 0; c < n; ++c) {
-    if (!safe(board.data(), d, c)) continue;
-    // Manual duplication of the partial solution array — the artifact the
-    // paper points out Cilk and OpenMP tasks require.
-    std::vector<int> child = board;
-    child[d] = c;
-    f.spawn([child = std::move(child), d, n, cutoff, &total](
-                Frame& c2) mutable {
-      dc_queens(c2, std::move(child), d + 1, n, cutoff, total);
-    });
-  }
-  f.sync();
-}
-
-std::vector<int> empty_board(int n) {
-  return std::vector<int>(static_cast<std::size_t>(n), 0);
-}
-
-}  // namespace
+// --- dependency-unaware baselines (Cilk-like, OMP3-like; real OpenMP in
+// baselines/omp_real/omp_apps.cpp) -------------------------------------------
 
 long nqueens_fj(fj::Scheduler& s, int n, int task_depth) {
   std::atomic<long> total{0};
-  s.run_root([&](fj::Context& ctx) {
-    dc_queens(ctx, empty_board(n), 0, n, std::max(0, n - task_depth), total);
-  });
+  s.run_root([&](fj::Context& ctx) { dc_queens_root(ctx, n, task_depth, total); });
   return total.load(std::memory_order_relaxed);
 }
 
 long nqueens_omp3(omp3::TaskPool& p, int n, int task_depth) {
   std::atomic<long> total{0};
-  p.run_root([&] {
-    dc_queens(p, empty_board(n), 0, n, std::max(0, n - task_depth), total);
-  });
+  p.run_root([&] { dc_queens_root(p, n, task_depth, total); });
   return total.load(std::memory_order_relaxed);
-}
-
-long nqueens_omp(unsigned threads, int n, int task_depth) {
-  std::atomic<long> total{0};
-  const bool ran = ompreal::run(threads, [&](ompreal::Frame& f) {
-    dc_queens(f, empty_board(n), 0, n, std::max(0, n - task_depth), total);
-  });
-  return ran ? total.load(std::memory_order_relaxed) : -1;
 }
 
 }  // namespace smpss::apps

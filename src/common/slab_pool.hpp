@@ -44,6 +44,10 @@
 #include "common/counters.hpp"
 #include "common/spin.hpp"
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 namespace smpss {
 
 struct PoolStats {
@@ -153,21 +157,13 @@ class SlabPool {
 
   Header* take_block(Slot& sl) {
     Header* h = sl.local;
-    if (h != nullptr) {
-      sl.local = h->next.load(std::memory_order_relaxed);
-      // The next block was most likely freed by a retiring worker, so its
-      // first line (the header, and a version's reference cell) sits in
-      // that worker's cache. Fetch it for writing now: the dependency
-      // analyzer constructs each new version before publishing it, and that
-      // miss would otherwise stall the publication CAS.
-      if (sl.local != nullptr) __builtin_prefetch(sl.local, /*rw=*/1);
-      ++sl.hits;
-      return h;
+    if (h == nullptr) {
+      // Local list dry: reclaim everything retire threads pushed back to us.
+      h = sl.remote.exchange(nullptr, std::memory_order_acquire);
     }
-    // Local list dry: reclaim everything retire threads pushed back to us.
-    h = sl.remote.exchange(nullptr, std::memory_order_acquire);
     if (h != nullptr) {
       sl.local = h->next.load(std::memory_order_relaxed);
+      if (sl.local != nullptr) prefetch_for_write(sl.local);
       ++sl.hits;
       return h;
     }
@@ -176,6 +172,37 @@ class SlabPool {
     sl.local = h->next.load(std::memory_order_relaxed);
     ++sl.refills;
     return h;
+  }
+
+  /// The next free block was most likely freed by a retiring worker, so
+  /// its lines sit modified in that worker's cache, and the next allocation
+  /// writes all of them: the constructor fills a TaskNode's ten lines, and
+  /// the first locked instruction after it (the submission's sequence
+  /// fetch_add) waits for every store still missing. Ask for each line in
+  /// exclusive state now. x86 needs PREFETCHW for that (a plain
+  /// __builtin_prefetch(p, 1) is a read prefetch unless the build enables
+  /// PRFCHW), so it is issued by hand when the CPU has it.
+  void prefetch_for_write(const Header* h) const noexcept {
+    const char* p = reinterpret_cast<const char*>(h);
+#if defined(__x86_64__) || defined(__i386__)
+    if (has_prefetchw_) {
+      for (std::size_t off = 0; off < stride_; off += kCacheLineSize)
+        asm volatile("prefetchw %0" : : "m"(p[off]));
+      return;
+    }
+#endif
+    for (std::size_t off = 0; off < stride_; off += kCacheLineSize)
+      __builtin_prefetch(p + off, /*rw=*/1);
+  }
+
+  static bool cpu_has_prefetchw() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    return __get_cpuid(0x80000001u, &a, &b, &c, &d) != 0 &&
+           (c & bit_PRFCHW) != 0;
+#else
+    return false;
+#endif
   }
 
   /// Move up to `cache_blocks_` blocks from the global overflow list into
@@ -214,6 +241,7 @@ class SlabPool {
   const unsigned owner_slots_;
   const unsigned cache_blocks_;
   const std::size_t blocks_per_slab_;
+  const bool has_prefetchw_ = cpu_has_prefetchw();
   std::unique_ptr<Slot[]> slots_;  // [owner_slots_] is the foreign slot
 
   SpinLock foreign_mu_;  ///< serializes foreign-slot allocations

@@ -1,19 +1,37 @@
 // Unbounded MPMC FIFO used for the two global ready lists of paper Sec. III
-// (the high-priority list and the "main" list).
+// (the high-priority list and the "main" list), the OpenMP-3-like task pool
+// and the scheduling simulator.
 //
-// These lists see far less traffic than the per-worker deques — they receive
-// only dependency-free tasks from the main thread and act as "a point of
-// distribution of tasks in areas of the graph that are not being explored" —
-// so a padded spin-locked intrusive list is both simple and fast enough.
-// Tasks are linked through an intrusive `next` pointer supplied by a traits
-// hook, so enqueueing never allocates.
+// The main list is on the spawn path: the main thread moves every
+// dependency-free task into it while the workers poll it for work. A padded
+// spin lock shared by that one pusher and every poller, with a size counter
+// both sides wrote, cost stencil_fine's submitter 30% of its samples once
+// the node pool stopped stalling it (docs/BENCHMARKS.md). So the two sides
+// no longer share a word on the push path:
+//
+//   * producers publish with one exchange on `tail_` and one store to the
+//     predecessor's link (Vyukov's intrusive MPSC list). They never take
+//     the lock and never read consumer state;
+//   * consumers take a lock among themselves, or with try_pop_front give up
+//     when it is taken, and walk `front_` down the links. The list keeps one
+//     node linked at all times: the oldest unreturned task, or the stub (a
+//     bare link, since T need not be default-constructible) once the list is
+//     drained. A consumer takes the last task only by putting the stub back
+//     at the tail with one CAS, which fails while a push is in flight behind
+//     that task; the task then stays until the push links it.
+//
+// A push between its exchange and its link hides itself and every task
+// behind it until the link lands, so "empty" is only ever an estimate, as
+// it was with the counter. The runtime's producers notify the idle gate
+// after the push returns, so a worker that found the list empty re-polls.
+// Tasks are linked through their `queue_next` field, so enqueueing never
+// allocates; every access to a link that may race goes through atomic_ref.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 
 #include "common/cache.hpp"
-#include "common/check.hpp"
 #include "common/spin.hpp"
 
 namespace smpss {
@@ -26,77 +44,94 @@ class IntrusiveMpmcFifo {
   IntrusiveMpmcFifo(const IntrusiveMpmcFifo&) = delete;
   IntrusiveMpmcFifo& operator=(const IntrusiveMpmcFifo&) = delete;
 
-  void push_back(T* item) noexcept {
-    item->queue_next = nullptr;
-    lock_.lock();
-    if (tail_) {
-      tail_->queue_next = item;
-    } else {
-      head_ = item;
-    }
-    tail_ = item;
-    size_.fetch_add(1, std::memory_order_relaxed);
-    lock_.unlock();
-  }
+  void push_back(T* item) noexcept { link(publish(item), item); }
 
-  /// Append `n` items in order with one lock acquisition (batched release).
+  /// Append `n` items in order with one exchange (batched release).
   void push_back_batch(T* const* items, std::size_t n) noexcept {
     if (n == 0) return;
     for (std::size_t i = 0; i + 1 < n; ++i) items[i]->queue_next = items[i + 1];
-    items[n - 1]->queue_next = nullptr;
-    lock_.lock();
-    if (tail_) {
-      tail_->queue_next = items[0];
-    } else {
-      head_ = items[0];
-    }
-    tail_ = items[n - 1];
-    size_.fetch_add(n, std::memory_order_relaxed);
-    lock_.unlock();
+    link(publish(items[n - 1]), items[0]);
   }
 
+  /// Pop the oldest item, waiting for other consumers (not for producers).
   T* pop_front() noexcept {
-    // Fast-path reject without taking the lock; size_ is monotonic enough
-    // for this (a false empty is re-checked by the scheduler loop).
-    if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
-    lock_.lock();
+    if (empty_estimate()) return nullptr;
+    consumer_mu_.lock();
     T* item = pop_front_locked();
-    lock_.unlock();
+    consumer_mu_.unlock();
     return item;
   }
 
-  /// Non-blocking pop: gives up immediately when another thread holds the
+  /// Non-blocking pop: gives up immediately when another consumer holds the
   /// lock. Lets a crowd of work-seeking consumers fall through to stealing
-  /// instead of convoying here against the producer's push.
+  /// instead of convoying here.
   T* try_pop_front() noexcept {
-    if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
-    if (!lock_.try_lock()) return nullptr;
+    if (empty_estimate()) return nullptr;
+    if (!consumer_mu_.try_lock()) return nullptr;
     T* item = pop_front_locked();
-    lock_.unlock();
+    consumer_mu_.unlock();
     return item;
   }
 
-  std::size_t size_estimate() const noexcept {
-    return size_.load(std::memory_order_relaxed);
+  /// Racy: true when no linked item was seen. Reads no producer word.
+  bool empty_estimate() const noexcept {
+    return front_.load(std::memory_order_relaxed) == nullptr &&
+           load_link(stub_, std::memory_order_relaxed) == nullptr;
   }
-  bool empty_estimate() const noexcept { return size_estimate() == 0; }
 
  private:
+  friend struct MpmcFifoTestPeer;
+
+  static T* load_link(T* const& link, std::memory_order mo) noexcept {
+    return std::atomic_ref<T* const>(link).load(mo);
+  }
+  static void store_link(T*& link, T* v, std::memory_order mo) noexcept {
+    std::atomic_ref<T*>(link).store(v, mo);
+  }
+
+  /// First half of a push: make `last` the tail and return the link that
+  /// must point at the pushed chain (the previous tail's, or the stub's).
+  T** publish(T* last) noexcept {
+    last->queue_next = nullptr;
+    return tail_.exchange(&last->queue_next, std::memory_order_acq_rel);
+  }
+
+  /// Second half: until this store, consumers stop at the previous tail.
+  static void link(T** prev, T* first) noexcept {
+    store_link(*prev, first, std::memory_order_release);
+  }
+
   T* pop_front_locked() noexcept {
-    T* item = head_;
-    if (item) {
-      head_ = item->queue_next;
-      if (!head_) tail_ = nullptr;
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      item->queue_next = nullptr;
+    T* item = front_.load(std::memory_order_relaxed);
+    if (item == nullptr) {  // the stub is at the front
+      item = load_link(stub_, std::memory_order_acquire);
+      if (item == nullptr) return nullptr;
+      front_.store(item, std::memory_order_relaxed);
     }
+    T* next = load_link(item->queue_next, std::memory_order_acquire);
+    if (next == nullptr) {
+      // `item` is the newest linked node. Put the stub behind it unless a
+      // push has already taken the tail from it, whose link is then due.
+      store_link(stub_, nullptr, std::memory_order_relaxed);
+      T** expected = &item->queue_next;
+      if (!tail_.compare_exchange_strong(expected, &stub_,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_relaxed)) {
+        next = load_link(item->queue_next, std::memory_order_acquire);
+        if (next == nullptr) return nullptr;
+      }
+    }
+    front_.store(next, std::memory_order_relaxed);
+    item->queue_next = nullptr;
     return item;
   }
 
-  alignas(kCacheLineSize) SpinLock lock_;
-  T* head_ = nullptr;
-  T* tail_ = nullptr;
-  alignas(kCacheLineSize) std::atomic<std::size_t> size_{0};
+  // Producer line: only pushes and a consumer's stub CAS write it.
+  alignas(kCacheLineSize) std::atomic<T**> tail_{&stub_};
+  // Consumer line. The stub's link is written by a push into an empty list.
+  alignas(kCacheLineSize) SpinLock consumer_mu_;
+  std::atomic<T*> front_{nullptr};  ///< oldest linked item; nullptr = stub
+  T* stub_ = nullptr;
 };
 
 }  // namespace smpss

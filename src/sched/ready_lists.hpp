@@ -97,18 +97,20 @@ class ReadyLists {
   /// tasks in areas of the graph that are not being explored".
   void push_main(T* t) { main_.push_back(t); }
 
-  /// Task whose last input dependency was removed by thread `tid`.
-  void push_local(unsigned tid, T* t) {
+  /// Task whose last input dependency was removed by thread `tid`: the
+  /// worker's own list, or the main FIFO when Centralized collapses them.
+  Placed push_local(unsigned tid, T* t) {
     if (mode_ == SchedulerMode::Distributed) {
       local_[tid]->push_bottom(t);
-    } else {
-      main_.push_back(t);
+      return Placed::Local;
     }
+    main_.push_back(t);
+    return Placed::Main;
   }
 
   /// Batched form of push_local: a completion that released several tasks at
   /// once publishes them with one list operation (a single bottom store on
-  /// the owner's deque; one lock acquisition on the centralized FIFO).
+  /// the owner's deque; one exchange on the centralized FIFO).
   void push_local_batch(unsigned tid, T* const* items, std::size_t n) {
     if (mode_ == SchedulerMode::Distributed) {
       local_[tid]->push_bottom_batch(items, n);
@@ -134,8 +136,7 @@ class ReadyLists {
     // main-list distribution behavior.
     if (nested_tasks_ && in_task && tid != kNoWorker) {
       t->pref_tid = tid;
-      push_local(tid, t);
-      return Placed::Local;
+      return push_local(tid, t);
     }
     push_main(t);
     return Placed::Main;
@@ -150,8 +151,7 @@ class ReadyLists {
     // "Each worker thread has its own ready list that contains tasks whose
     // last input dependency has been removed by that thread."
     t->pref_tid = tid;
-    push_local(tid, t);
-    return Placed::Local;
+    return push_local(tid, t);
   }
 
   /// Batched release: one completion released `n >= 2` tasks; publish them
@@ -225,9 +225,9 @@ class ReadyLists {
     return nullptr;
   }
 
-  /// Racy size of one worker's own list (wakeup heuristics).
+  /// Racy size of one worker's own list (wakeup heuristics); only a
+  /// Distributed enqueue reports Placed::Local.
   std::size_t local_size_estimate(unsigned tid) const noexcept {
-    if (mode_ != SchedulerMode::Distributed) return main_.size_estimate();
     return local_[tid]->size_estimate();
   }
 
