@@ -126,12 +126,13 @@ class IntrusiveMpmcFifo {
     return item;
   }
 
-  // Producer line: only pushes and a consumer's stub CAS write it.
+  // Producer line: pushes write the tail, and the stub's link when the list
+  // was drained, so such a push misses on one line, not two.
   alignas(kCacheLineSize) std::atomic<T**> tail_{&stub_};
-  // Consumer line. The stub's link is written by a push into an empty list.
+  T* stub_ = nullptr;
+  // Consumer line.
   alignas(kCacheLineSize) SpinLock consumer_mu_;
   std::atomic<T*> front_{nullptr};  ///< oldest linked item; nullptr = stub
-  T* stub_ = nullptr;
 };
 
 }  // namespace smpss
