@@ -3,15 +3,14 @@
 // and the scheduling simulator.
 //
 // The main list is on the spawn path: the main thread moves every
-// dependency-free task into it while the workers poll it for work. A padded
-// spin lock shared by that one pusher and every poller, with a size counter
-// both sides wrote, cost stencil_fine's submitter 30% of its samples once
-// the node pool stopped stalling it (docs/BENCHMARKS.md). So the two sides
-// no longer share a word on the push path:
+// dependency-free task into it while the workers poll it for work. A spin
+// lock shared by that one pusher and every poller, plus a size counter both
+// sides wrote, cost stencil_fine's submitter a quarter of its samples once
+// the node pool stopped stalling it (docs/BENCHMARKS.md). So a push takes no
+// lock and keeps no count:
 //
 //   * producers publish with one exchange on `tail_` and one store to the
-//     predecessor's link (Vyukov's intrusive MPSC list). They never take
-//     the lock and never read consumer state;
+//     predecessor's link (Vyukov's intrusive MPSC list);
 //   * consumers take a lock among themselves, or with try_pop_front give up
 //     when it is taken, and walk `front_` down the links. The list keeps one
 //     node linked at all times: the oldest unreturned task, or the stub (a
@@ -20,12 +19,13 @@
 //     at the tail with one CAS, which fails while a push is in flight behind
 //     that task; the task then stays until the push links it.
 //
-// A push between its exchange and its link hides itself and every task
-// behind it until the link lands, so "empty" is only ever an estimate, as
-// it was with the counter. The runtime's producers notify the idle gate
-// after the push returns, so a worker that found the list empty re-polls.
-// Tasks are linked through their `queue_next` field, so enqueueing never
-// allocates; every access to a link that may race goes through atomic_ref.
+// A push between its exchange and its link hides its tasks, and the task
+// linked before them, until the link lands, so "empty" is only ever an
+// estimate, as it was with the counter. The runtime's producers notify the
+// idle gate after the push returns, so a worker that found the list empty
+// re-polls. Tasks are linked through their `queue_next` field, so enqueueing
+// never allocates; every access to a link that may race goes through
+// atomic_ref.
 #pragma once
 
 #include <atomic>
@@ -73,7 +73,7 @@ class IntrusiveMpmcFifo {
     return item;
   }
 
-  /// Racy: true when no linked item was seen. Reads no producer word.
+  /// Racy: true when no linked item was seen.
   bool empty_estimate() const noexcept {
     return front_.load(std::memory_order_relaxed) == nullptr &&
            load_link(stub_, std::memory_order_relaxed) == nullptr;
@@ -83,7 +83,7 @@ class IntrusiveMpmcFifo {
   friend struct MpmcFifoTestPeer;
 
   static T* load_link(T* const& link, std::memory_order mo) noexcept {
-    return std::atomic_ref<T* const>(link).load(mo);
+    return std::atomic_ref<T*>(const_cast<T*&>(link)).load(mo);
   }
   static void store_link(T*& link, T* v, std::memory_order mo) noexcept {
     std::atomic_ref<T*>(link).store(v, mo);
