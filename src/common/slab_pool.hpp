@@ -176,11 +176,11 @@ class SlabPool {
 
   /// The next free block was most likely freed by a retiring worker, so
   /// its lines sit modified in that worker's cache, and the next allocation
-  /// writes all of them: the constructor fills a TaskNode's ten lines, and
-  /// the first locked instruction after it (the submission's sequence
-  /// fetch_add) waits for every store still missing. Ask for each line in
-  /// exclusive state now. x86 needs PREFETCHW for that (a plain
-  /// __builtin_prefetch(p, 1) is a read prefetch unless the build enables
+  /// writes them: a TaskNode's constructor fills all ten, and the first
+  /// locked instruction after it (the submission's sequence fetch_add; a
+  /// version's publication CAS) waits for every store still missing. Ask
+  /// for each line in exclusive state now. x86 needs PREFETCHW for that
+  /// (__builtin_prefetch(p, 1) is a read prefetch unless the build enables
   /// PRFCHW), so it is issued by hand when the CPU has it.
   void prefetch_for_write(const Header* h) const noexcept {
     const char* p = reinterpret_cast<const char*>(h);

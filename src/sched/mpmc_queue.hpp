@@ -5,8 +5,8 @@
 // The main list is on the spawn path: the main thread moves every
 // dependency-free task into it while the workers poll it for work. A spin
 // lock shared by that one pusher and every poller, plus a size counter both
-// sides wrote, cost stencil_fine's submitter a quarter of its samples once
-// the node pool stopped stalling it (docs/BENCHMARKS.md). So a push takes no
+// sides wrote, cost stencil_fine's submitter 28% of its samples once the
+// node pool stopped stalling it (docs/BENCHMARKS.md). So a push takes no
 // lock and keeps no count:
 //
 //   * producers publish with one exchange on `tail_` and one store to the
