@@ -16,6 +16,10 @@
 //     threads nearly every task is ready when it is created, so the row
 //     measures the submitter's own cost per spawn and what it shares with
 //     the workers retiring earlier tasks.
+//   * stencil pattern — perfbench stencil_fine's own submission
+//     (patterns::submit_pattern, 1,024 steps, default Config at 4 threads).
+//     The hand-written stencil row above has read no change where perfbench
+//     moved by a third, so the gate carries the exact workload as well.
 //
 // CI's perf gate runs it against the parent commit in alternating pairs
 // (tools/perfbench_ab.py --bench task_overhead; docs/BENCHMARKS.md).
@@ -25,6 +29,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "patterns/driver.hpp"
+#include "patterns/oracle.hpp"
 #include "runtime/runtime.hpp"
 
 namespace {
@@ -150,6 +156,33 @@ void BM_TaskOverhead_StencilReady(benchmark::State& state) {
       static_cast<double>(rt.stats().ready_at_creation));
 }
 
+// --- stencil pattern: perfbench stencil_fine's submission --------------------
+
+void BM_TaskOverhead_StencilPattern(benchmark::State& state) {
+  smpss::Config cfg;
+  cfg.num_threads = 4;
+  smpss::Runtime rt(cfg);
+  smpss::patterns::PatternSpec spec;
+  spec.kind = smpss::patterns::PatternKind::Stencil1D;
+  spec.width = 64;
+  spec.steps = 1024;
+  spec.kernel = {smpss::patterns::KernelKind::Empty, 0};
+  spec.validate();
+  smpss::patterns::PatternImage img =
+      smpss::patterns::make_initial_image(spec, /*nfields=*/2);
+  std::uint64_t tasks = 0;
+  for (auto _ : state) {
+    smpss::patterns::submit_pattern(rt, spec, img,
+                                    smpss::patterns::LowerMode::Address,
+                                    smpss::patterns::SubmitShape::Flat);
+    rt.barrier();
+    tasks += spec.total_tasks();
+  }
+  report(state, tasks, rt);
+  state.counters["ready_at_creation"] = benchmark::Counter(
+      static_cast<double>(rt.stats().ready_at_creation));
+}
+
 }  // namespace
 
 BENCHMARK(BM_TaskOverhead_Independent_Pooled)->UseRealTime();
@@ -157,3 +190,4 @@ BENCHMARK(BM_TaskOverhead_Chain1_Chained)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_Chain1_ListRoundTrip)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_FanOut)->UseRealTime();
 BENCHMARK(BM_TaskOverhead_StencilReady)->UseRealTime();
+BENCHMARK(BM_TaskOverhead_StencilPattern)->UseRealTime();

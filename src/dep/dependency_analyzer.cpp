@@ -95,11 +95,21 @@ DataEntry& DependencyAnalyzer::entry_for(CounterStripe& st, unsigned slot,
   }
 }
 
+void DependencyAnalyzer::prefetch_head(const void* addr) noexcept {
+  DataEntry* e = find(addr);
+  if (e == nullptr) return;
+  // The head may be superseded, or its block recycled, by the time the
+  // analysis reaches it: that costs one wasted prefetch (see
+  // Version::prefetch_hot_line).
+  if (const Version* v = e->latest.load(std::memory_order_relaxed))
+    v->prefetch_hot_line();
+}
+
 Version* DependencyAnalyzer::pin_latest(CounterStripe& st, DataEntry& e) {
   while (true) {
     Version* v = e.latest.load(std::memory_order_acquire);
     // Register first (count + ref), then validate the head is unchanged.
-    // The seq_cst increment inside register_reader pairs with the writer's
+    // The seq_cst RMW inside register_reader pairs with the writer's
     // seq_cst publication CAS and readers_pending probe (Dekker): either our
     // validation sees the writer's new head and we retry, or the writer's
     // probe sees our pending count. If the version died and the block was

@@ -113,6 +113,13 @@ class DependencyAnalyzer {
   /// task body must use for this parameter.
   void* process(TaskNode* task, const AccessDesc& access);
 
+  /// A spawn's prefetch pass, before it analyzes its parameters in order:
+  /// ask for the hot line of the chain head at `addr` in exclusive state
+  /// (Version::prefetch_hot_line), so the misses on the lines the retiring
+  /// workers last wrote overlap instead of following one another. Creates
+  /// no entry; an untracked address costs one bucket walk.
+  void prefetch_head(const void* addr) noexcept;
+
   /// Barrier-time realignment: copy every renamed latest version back to its
   /// user storage and drop all tracking state. Requires all tasks complete.
   void flush_all();

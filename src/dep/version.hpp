@@ -21,36 +21,54 @@
 // is returned to the rename pool. This gives the eager reclamation the paper
 // relies on to keep renamed-memory bounded.
 //
-// Lock-free chain support: versions are allocated from
-// a type-stable SlabPool and their two synchronization counters (refs,
-// pending readers) live in a per-block prefix cell that SURVIVES tenancies —
-// the pool recycles the block but never reinitializes the counters. A reader
-// pins the chain head speculatively (increment first, then validate that the
-// entry's latest pointer is unchanged); if the version died in between, the
-// increments landed on recycled type-stable memory and the compensating
-// decrements make the excursion net-zero. Two invariants make that safe:
+// Lock-free chain support: versions are allocated from a type-stable
+// SlabPool, and their synchronization counters live in a per-block prefix
+// cell that SURVIVES tenancies: the pool recycles the block but never
+// reinitializes the cell. The cell is one 64-bit word. Its low half counts
+// references (refs), its high half pending readers (readers_pending). A
+// reader pins the chain head speculatively (increment first, then validate
+// that the entry's latest pointer is unchanged); if the version died in
+// between, the increment landed on recycled type-stable memory and the
+// compensating decrement makes the excursion net-zero. These rules make
+// that safe:
 //
-//   * dead blocks idle at kDeadBias, live tenancies at >= 1, and the
-//     1 -> kDeadBias "last reference" transition is one CAS — the count is
-//     never observed at 0, so a phantom decrement can only be the genuine
-//     last release of a live tenancy (it frees correctly) and can never
-//     double-free a dead block;
-//   * the counters are revived with fetch_add (never a store), so phantom
-//     increments in flight across a reallocation stay counted.
+//   * a dead block idles at kDeadBias in the refs half, a live tenancy at
+//     >= 1, and the 1 -> kDeadBias "last reference" transition is one CAS
+//     of the word. The refs half is never observed at 0, so a phantom
+//     decrement can only be the genuine last release of a live tenancy (it
+//     frees correctly) and can never double-free a dead block;
+//   * revival is a fetch_add of (init - kDeadBias) on the refs half, never
+//     a store, so phantom pins in flight across a reallocation stay
+//     counted, in both halves, until they abort;
+//   * one registration is one seq_cst fetch_add of both halves, and one
+//     finished reader (or aborted pin) is one CAS that takes both back.
+//     Every reader holds a ref, so the halves cannot carry or borrow into
+//     each other.
 //
-// Pending-reader increments and the retiring writer's pending-reader read
-// are seq_cst: paired with the seq_cst CAS that publishes a new latest
-// version, this is the Dekker-style guarantee that a writer which swung the
-// chain head sees every reader that validated against the old head — a
-// just-registered reader can never be missed (a missed one would let the
-// writer reuse the storage in place under a live reader).
+// The Dekker pairing: the reader's seq_cst RMW on the word, then its
+// seq_cst reload of the chain head; the writer's seq_cst CAS that publishes
+// a new latest version, then its seq_cst probe of readers_pending. So a
+// writer that swung the head sees every reader that validated against the
+// old head. A missed one would let the writer reuse the storage in place
+// under a live reader.
+//
+// Block layout (the pool's 16-byte header, then the 16-byte cell, then the
+// body; 192 bytes over three lines). The first line holds everything the
+// submitter's analysis reads and the retiring workers write: the cell,
+// storage_, bytes_, producer_, produced_ and renamed_. The fields written
+// once at creation (group_, entry_, vpool_, reader_tasks_) follow, so an
+// access to a live version touches one line that other cores write. A
+// spawn prefetches that line of each parameter's chain head for writing
+// before its analysis (DependencyAnalyzer::prefetch_head).
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/check.hpp"
+#include "common/prefetch.hpp"
 #include "common/slab_pool.hpp"
 #include "common/small_vector.hpp"
 #include "common/spin.hpp"
@@ -66,10 +84,10 @@ class Version {
  public:
   /// The per-block persistent counter cell: constructed exactly once, on the
   /// block's first tenancy, and only ever mutated with read-modify-writes
-  /// afterwards (see file comment).
+  /// afterwards (see file comment). refs in the low half of the word,
+  /// readers_pending in the high half.
   struct RefCell {
-    std::atomic<int> refs;
-    std::atomic<int> readers_pending;
+    std::atomic<std::uint64_t> word;
   };
 
   /// Block layout: [RefCell prefix][Version body]. The prefix is padded to
@@ -77,9 +95,18 @@ class Version {
   static constexpr std::size_t kPrefixBytes = alignof(std::max_align_t);
   static_assert(sizeof(RefCell) <= kPrefixBytes);
 
-  /// Resting refcount of a dead block. Any value a live tenancy can reach
+  /// Resting refs half of a dead block. Any value a live tenancy can reach
   /// (real tokens + transient speculative pins) stays far below it.
-  static constexpr int kDeadBias = 1 << 29;
+  static constexpr std::uint64_t kDeadBias = std::uint64_t{1} << 29;
+
+  /// One reference and one pending reader: what a registration adds to the
+  /// counter word and a finished reader takes back.
+  static constexpr std::uint64_t kReaderRef = (std::uint64_t{1} << 32) | 1;
+
+  /// Bytes from the start of the counter cell through the last field that
+  /// the submitter's analysis reads and the retiring workers write. With the
+  /// pool's block header before the cell, they share the block's first line.
+  static constexpr std::size_t hot_bytes() noexcept;
 
   /// Storage sentinel of a version published by CAS before its renaming
   /// decision was made; readers spin in storage_wait() until the winning
@@ -151,13 +178,12 @@ class Version {
   // --- reader registration --------------------------------------------------
 
   /// Register a pending reader: bumps the pending count and takes a
-  /// lifetime ref on this version. The pending-count increment is seq_cst —
+  /// lifetime ref on this version, in one seq_cst RMW of the counter word —
   /// the write half of the Dekker pairing with the retiring writer's
   /// readers_pending() probe (a relaxed increment here could let an
   /// in-place-reusing writer miss a just-registered reader).
-  void register_reader() {
-    rc().refs.fetch_add(1, std::memory_order_relaxed);
-    rc().readers_pending.fetch_add(1, std::memory_order_seq_cst);
+  void register_reader() noexcept {
+    rc().word.fetch_add(kReaderRef, std::memory_order_seq_cst);
   }
 
   /// Record a validated reader task for WAR edges (strong ref) — needed only
@@ -181,7 +207,7 @@ class Version {
   /// reads 0 here is guaranteed no reader can still validate against the
   /// superseded version.
   int readers_pending() const noexcept {
-    return rc().readers_pending.load(std::memory_order_seq_cst);
+    return static_cast<int>(rc().word.load(std::memory_order_seq_cst) >> 32);
   }
 
   /// Submission-order view of recorded reader tasks (WAR edges in the
@@ -192,20 +218,24 @@ class Version {
 
   // --- token release (any thread) -------------------------------------------
 
-  /// A reading task finished: drop its pending-reader mark, then its ref.
-  void reader_finished(RenamePool& pool) noexcept {
-    rc().readers_pending.fetch_sub(1, std::memory_order_acq_rel);
-    release(pool);
-  }
+  /// A reading task finished: drop its pending-reader mark and its ref in
+  /// one CAS; destroys the version if that was the last ref.
+  void reader_finished(RenamePool& pool) noexcept { drop(pool, kReaderRef); }
 
-  /// Take one additional lifetime reference (spectulative pins go through
+  /// Take one additional lifetime reference (speculative pins go through
   /// register_reader; this is for already-validated holders).
-  void add_ref() noexcept { rc().refs.fetch_add(1, std::memory_order_relaxed); }
+  void add_ref() noexcept { rc().word.fetch_add(1, std::memory_order_relaxed); }
 
   /// Drop one lifetime reference; destroys the version at zero. The last
-  /// reference transitions the persistent count 1 -> kDeadBias in a single
-  /// CAS, so the block is never observed at 0 (see file comment).
-  void release(RenamePool& pool) noexcept;
+  /// reference transitions the refs half 1 -> kDeadBias in a single CAS, so
+  /// the block is never observed at 0 (see file comment).
+  void release(RenamePool& pool) noexcept { drop(pool, 1); }
+
+  /// Ask for the hot line (see hot_bytes) in exclusive state. Safe on a
+  /// pointer that may have been superseded or recycled since it was read:
+  /// the type-stable pool keeps the block mapped, and a prefetch never
+  /// faults.
+  void prefetch_hot_line() const noexcept;
 
   /// Transfer storage ownership out of this version (used when a successor
   /// version reuses the same bytes in place): the buffer will no longer be
@@ -223,19 +253,42 @@ class Version {
         reinterpret_cast<char*>(const_cast<Version*>(this)) - kPrefixBytes);
   }
 
-  DataEntry* entry_;
+  /// Subtract `what` (1, or kReaderRef) from the counter word; the last ref
+  /// parks the refs half at kDeadBias and destroys the version.
+  void drop(RenamePool& pool, std::uint64_t what) noexcept;
+
+  // The hot line: read by the submitter's analysis, written by the retiring
+  // workers (see file comment).
   std::atomic<void*> storage_;
   std::size_t bytes_;
-  bool renamed_;
   TaskNode* producer_;  // strong ref; null for initial versions
-  SlabPool* vpool_;     // the type-stable pool this block came from
-  AccessGroup* group_;  // commuting group targeting this version, or null
   std::atomic<bool> produced_;
+  bool renamed_;
+  // Written once, at creation.
+  AccessGroup* group_;  // commuting group targeting this version, or null
+  DataEntry* entry_;
+  SlabPool* vpool_;     // the type-stable pool this block came from
   SmallVector<TaskNode*, 4> reader_tasks_;  // strong refs, submission-order writes
 };
 
 constexpr std::size_t Version::block_bytes() noexcept {
   return kPrefixBytes + sizeof(Version);
+}
+
+constexpr std::size_t Version::hot_bytes() noexcept {
+  std::size_t end = 0;
+  for (std::size_t e : {offsetof(Version, storage_) + sizeof(storage_),
+                        offsetof(Version, bytes_) + sizeof(bytes_),
+                        offsetof(Version, producer_) + sizeof(producer_),
+                        offsetof(Version, produced_) + sizeof(produced_),
+                        offsetof(Version, renamed_) + sizeof(renamed_)})
+    end = e > end ? e : end;
+  return kPrefixBytes + end;
+}
+
+inline void Version::prefetch_hot_line() const noexcept {
+  constexpr std::size_t kBytes = hot_bytes();
+  prefetch_for_write(&rc(), kBytes);
 }
 
 /// Per-datum bookkeeping (address-mode analysis). Entries live in the

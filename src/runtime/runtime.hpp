@@ -253,6 +253,12 @@ class Runtime {
 
     begin_submission(t);
     if constexpr (detail::directional_count<std::decay_t<Ps>...>() > 0) {
+      // Prefetch pass: ask for every address-mode parameter's chain head
+      // first, so the analysis below does not take the misses on them one
+      // after another (DependencyAnalyzer::prefetch_head).
+      [&]<std::size_t... Is>(std::index_sequence<Is...>) {
+        (prefetch_param<Is>(closure), ...);
+      }(std::index_sequence_for<Ps...>{});
       // No dependency mutex: per-datum consistency comes from CAS
       // publication on each chain head (see dep/dependency_analyzer.hpp).
       // The single submitter takes no lock at all. Concurrent submitters
@@ -278,6 +284,15 @@ class Runtime {
       }(std::index_sequence_for<Ps...>{});
     }
     submit(t);
+  }
+
+  template <std::size_t I, typename C>
+  void prefetch_param(C* closure) noexcept {
+    using P = std::tuple_element_t<I, decltype(closure->params)>;
+    if constexpr (detail::ParamTraits<P>::directional &&
+                  !detail::is_region_param<P>)
+      dep_.prefetch_head(
+          detail::ParamTraits<P>::raw(std::get<I>(closure->params)));
   }
 
   template <std::size_t I, typename C>

@@ -91,8 +91,7 @@ TEST(ChaseLevDeque, ConcurrentStealsDeliverEachItemOnce) {
   std::vector<std::thread> thieves;
   for (int t = 0; t < kThieves; ++t)
     thieves.emplace_back([&] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       while (taken.load(std::memory_order_relaxed) < kItems) {
         if (Item* it = d.steal_top()) {
           seen[static_cast<std::size_t>(it->value)].fetch_add(1);

@@ -168,8 +168,8 @@ void run_high_priority_jump(Config cfg) {
   rt.spawn(
       [&release](const int* dummy) {
         (void)dummy;
-        while (!release.load(std::memory_order_acquire)) {
-        }
+        while (!release.load(std::memory_order_acquire))
+          std::this_thread::yield();
       },
       opaque(&dummy_src));  // opaque dummy: no dependencies
   // Queue normal work, then an urgent task.

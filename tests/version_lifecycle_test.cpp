@@ -1,13 +1,20 @@
 // Version-chain lifecycle behaviors: storage reuse vs. renaming decisions,
 // realignment (copy-back) accounting, wait_on with rename chains, size
-// growth on re-registration, and rename-pool reclamation ordering.
+// growth on re-registration, rename-pool reclamation ordering, and the
+// version block itself: its counter word across a recycled tenancy and its
+// hot line.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "common/cache.hpp"
+#include "common/slab_pool.hpp"
+#include "dep/renaming.hpp"
+#include "dep/version.hpp"
 #include "runtime/runtime.hpp"
 
 namespace smpss {
@@ -154,6 +161,67 @@ TEST(VersionLifecycle, InterleavedObjectsDontCrossTalk) {
     for (int step = 0; step < 10; ++step) expect = expect * 2 + o + step;
     EXPECT_EQ(finals[static_cast<std::size_t>(o)], expect) << "object " << o;
   }
+}
+
+// One owner slot refilled one block at a time: a freed block is the next
+// one the slot hands out, so a test can land a new tenancy on it.
+SlabPool one_block_pool() {
+  return SlabPool(Version::block_bytes(), alignof(std::max_align_t),
+                  /*owner_slots=*/1, /*cache_blocks=*/1);
+}
+
+TEST(VersionBlock, PhantomPinAcrossRevivalIsNetZero) {
+  SlabPool vpool = one_block_pool();
+  RenamePool rp(1u << 20);
+  DataEntry entry;
+  int user = 0;
+  Version* old = Version::create(vpool, 0, &entry, &user, sizeof user,
+                                 /*renamed=*/false, /*producer=*/nullptr);
+  old->release(rp);  // last ref: the block dies and goes back to the pool
+
+  // A reader that loaded `old` as the chain head before it died pins it now:
+  // the registration lands on the dead block.
+  old->register_reader();
+
+  // The next version takes the same block while that pin is in flight.
+  void* buf = rp.allocate(64);
+  Version* v = Version::create(vpool, 0, &entry, buf, 64, /*renamed=*/true,
+                               /*producer=*/nullptr);
+  ASSERT_EQ(static_cast<void*>(v), static_cast<void*>(old));
+
+  // The pin fails validation and aborts. The new tenancy must be left with
+  // its own latest token only.
+  old->abort_reader_registration(rp);
+  ASSERT_EQ(v->readers_pending(), 0);
+  ASSERT_EQ(rp.current_bytes(), 64u) << "the version was freed early";
+
+  // Its last release frees it exactly once: storage back to the rename
+  // pool, the block back to the slot (handed out again next), and not a
+  // second time (the block after it is a different one).
+  v->release(rp);
+  EXPECT_EQ(rp.current_bytes(), 0u);
+  void* again = vpool.allocate(0);
+  EXPECT_EQ(again, static_cast<void*>(reinterpret_cast<char*>(v) -
+                                      Version::kPrefixBytes));
+  void* next = vpool.allocate(0);
+  EXPECT_NE(next, again);
+  vpool.deallocate(next);
+  vpool.deallocate(again);
+}
+
+TEST(VersionBlock, HotFieldsShareTheBlocksFirstLine) {
+  // Pool blocks start on a line boundary, so the counter cell's offset in
+  // its line is its offset in the block.
+  SlabPool vpool = one_block_pool();
+  RenamePool rp(1u << 20);
+  DataEntry entry;
+  int user = 0;
+  Version* v = Version::create(vpool, 0, &entry, &user, sizeof user,
+                               /*renamed=*/false, /*producer=*/nullptr);
+  const auto cell =
+      reinterpret_cast<std::uintptr_t>(v) - Version::kPrefixBytes;
+  EXPECT_LE(cell % kCacheLineSize + Version::hot_bytes(), kCacheLineSize);
+  v->release(rp);
 }
 
 }  // namespace
